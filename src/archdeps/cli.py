@@ -35,7 +35,13 @@ def _dump_json(obj) -> str:
 
 
 def _load(path: str) -> Architecture:
-    return ingest.parse(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ingest.DocumentError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+    return ingest.parse(text)
 
 
 def _channels_arg(raw: str) -> list[str]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Architecture, ChannelId, ComponentId, LevelId
+from .model import Architecture, ChannelId, ComponentId, LevelId, LevelIndex
 
 
 @dataclass(frozen=True)
@@ -20,53 +20,77 @@ class LevelGraph:
     edges: tuple[tuple[ComponentId, ComponentId], ...]
 
 
+def _feeders(a: Architecture, index: LevelIndex, c: ComponentId) -> set[ComponentId]:
+    producers = index.producers
+    return {z for x in a.components[c].inputs for z in producers.get(x, ())}
+
+
+def _readers(a: Architecture, index: LevelIndex, c: ComponentId) -> set[ComponentId]:
+    consumers = index.consumers
+    return {z for x in a.components[c].outputs for z in consumers.get(x, ())}
+
+
+def _index_on(a: Architecture, level: LevelId, c: ComponentId) -> LevelIndex | None:
+    # The level's index, or None when c (a known component) is not on it.
+    index = a.level_index(level)
+    a.require_component(c)
+    return index if c in index.members else None
+
+
 def dsources(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
     """Components on the level whose output is wired directly into c."""
-    members = a.level_components(level)
-    inputs = a.inputs_of(c)
-    if c not in members:
-        return frozenset()
-    return frozenset(z for z in members if a.outputs_of(z) & inputs)
+    index = _index_on(a, level, c)
+    return frozenset(_feeders(a, index, c)) if index else frozenset()
 
 
 def dacc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
     """Components on the level directly consuming an output of c."""
-    members = a.level_components(level)
-    outputs = a.outputs_of(c)
-    if c not in members:
-        return frozenset()
-    return frozenset(z for z in members if outputs & a.inputs_of(z))
+    index = _index_on(a, level, c)
+    return frozenset(_readers(a, index, c)) if index else frozenset()
 
 
-def _closure(start: frozenset[str], step) -> frozenset[str]:
-    # Worklist closure over one or more relation steps; the start node itself
-    # appears in the result only when reachable through a cycle.
-    seen: set[str] = set(start)
-    todo = list(start)
+def _closure(a: Architecture, links, side: str, start) -> frozenset[ComponentId]:
+    # Multi-source walk: start plus every component reached from it by
+    # following the `side` channels of each reached component to the
+    # components `links` lists for them. All of them lie on the level.
+    records = a.components
+    seen: set[ComponentId] = set(start)
+    todo = list(seen)
     while todo:
-        node = todo.pop()
-        for nxt in step(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
+        for x in getattr(records[todo.pop()], side):
+            for z in links.get(x, ()):
+                if z not in seen:
+                    seen.add(z)
+                    todo.append(z)
     return frozenset(seen)
 
 
+def upstream(a: Architecture, index: LevelIndex, start) -> frozenset[ComponentId]:
+    """start (components on the index's level) plus everything feeding it."""
+    return _closure(a, index.producers, "inputs", start)
+
+
 def sources(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
-    """Every component on the level whose data can reach c (one or more hops)."""
-    return _closure(dsources(a, level, c), lambda z: dsources(a, level, z))
+    """Every component on the level whose data can reach c (one or more hops).
+
+    c itself belongs to the result only when it lies on a cycle.
+    """
+    index = _index_on(a, level, c)
+    return upstream(a, index, _feeders(a, index, c)) if index else frozenset()
 
 
 def acc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
     """Every component on the level that c's data can reach; dual of sources."""
-    return _closure(dacc(a, level, c), lambda z: dacc(a, level, z))
+    index = _index_on(a, level, c)
+    if not index:
+        return frozenset()
+    return _closure(a, index.consumers, "outputs", _readers(a, index, c))
 
 
 def is_not_dsource(a: Architecture, level: LevelId, s: ComponentId) -> bool:
     """True when no component on the level consumes any output of s."""
-    members = a.level_components(level)
-    outputs = a.outputs_of(s)
-    return all(not (outputs & a.inputs_of(z)) for z in members)
+    consumers = a.level_index(level).consumers
+    return not any(x in consumers for x in a.outputs_of(s))
 
 
 def is_not_dsource_for(
@@ -91,13 +115,23 @@ def chan_direct_deps(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:
 
 def chan_transitive_deps(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:
     """All channels x depends on through any chain of direct dependencies."""
-    return _closure(chan_direct_deps(a, x), lambda y: chan_direct_deps(a, y))
+    seen = set(chan_direct_deps(a, x))
+    todo = list(seen)
+    while todo:
+        for y in chan_direct_deps(a, todo.pop()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return frozenset(seen)
 
 
 def level_graph(a: Architecture, level: LevelId) -> LevelGraph:
     """Materialize the level's direct-dependency edges in canonical order."""
-    members = a.level_components(level)
-    edges = sorted(
-        (z, c) for c in members for z in dsources(a, level, c)
-    )
-    return LevelGraph(level=level, nodes=members, edges=tuple(edges))
+    index = a.level_index(level)
+    edges = {
+        (z, c)
+        for x, zs in index.producers.items()
+        for z in zs
+        for c in index.consumers.get(x, ())
+    }
+    return LevelGraph(level=level, nodes=index.members, edges=tuple(sorted(edges)))

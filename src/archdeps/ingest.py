@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .model import Architecture, ChannelId, LevelId, ModelError
+from .model import Architecture, LevelId, ModelError
 
 _TOP_LEVEL = (
     "components",
@@ -52,6 +52,10 @@ def parse(doc: str) -> Architecture:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise DocumentError("arrays or objects nested too deeply") from exc
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise DocumentError(f"unreadable value: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("top level must be an object")
     unknown = sorted(set(raw) - set(_TOP_LEVEL))
@@ -114,6 +118,11 @@ def serialize(a: Architecture) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _dot_id(name: str) -> str:
+    # DOT quoted string: escape the backslash first, then the quote.
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(a: Architecture, level: LevelId) -> str:
     """Render one level as a Graphviz digraph.
 
@@ -123,22 +132,23 @@ def export_dot(a: Architecture, level: LevelId) -> str:
     """
     from .optimize import is_high_perf
 
-    members = sorted(a.level_components(level))
-    lines = [f'digraph "{level}" {{']
-    for node in members:
+    index = a.level_index(level)
+    lines = [f"digraph {_dot_id(level)} {{"]
+    for node in sorted(index.members):
         attrs = ""
         if is_high_perf(a, node):
-            attrs = ' [fillcolor=lightgreen,style=filled]'
-        lines.append(f'  "{node}"{attrs};')
-    edges: list[tuple[str, str, ChannelId]] = []
-    for producer in members:
-        for consumer in members:
-            for chan in sorted(a.outputs_of(producer) & a.inputs_of(consumer)):
-                edges.append((producer, consumer, chan))
-    for producer, consumer, chan in sorted(edges):
-        attrs = f'label="{chan}"'
+            attrs = " [fillcolor=lightgreen,style=filled]"
+        lines.append(f"  {_dot_id(node)}{attrs};")
+    edges = sorted(
+        (producer, consumer, chan)
+        for chan, producers in index.producers.items()
+        for producer in producers
+        for consumer in index.consumers.get(chan, ())
+    )
+    for producer, consumer, chan in edges:
+        attrs = f"label={_dot_id(chan)}"
         if chan in a.highload_channels:
             attrs += ",penwidth=3,color=red"
-        lines.append(f'  "{producer}" -> "{consumer}" [{attrs}];')
+        lines.append(f"  {_dot_id(producer)} -> {_dot_id(consumer)} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

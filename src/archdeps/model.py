@@ -8,7 +8,7 @@ Architecture is constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 ComponentId = str
@@ -48,6 +48,43 @@ def _check_token(name: str, kind: str) -> None:
 
 def _freeze(values: Iterable[str]) -> frozenset[str]:
     return frozenset(values)
+
+
+@dataclass(frozen=True)
+class LevelIndex:
+    """Who produces and who consumes each channel on one level.
+
+    ``producers[x]`` and ``consumers[x]`` are the level's components, in name
+    order, with x among their outputs or inputs. A channel no component on
+    the level touches has no entry. Building it costs one pass over the
+    level's channel incidences; every level analysis reads it in place of a
+    scan of the level.
+    """
+
+    members: frozenset[ComponentId]
+    producers: Mapping[ChannelId, tuple[ComponentId, ...]]
+    consumers: Mapping[ChannelId, tuple[ComponentId, ...]]
+
+    @classmethod
+    def build(
+        cls,
+        components: Mapping[ComponentId, ComponentRecord],
+        members: frozenset[ComponentId],
+    ) -> "LevelIndex":
+        producers: dict[ChannelId, list[ComponentId]] = {}
+        consumers: dict[ChannelId, list[ComponentId]] = {}
+        for c in sorted(members):
+            rec = components[c]
+            for x in rec.outputs:
+                producers.setdefault(x, []).append(c)
+            for x in rec.inputs:
+                consumers.setdefault(x, []).append(c)
+        # Tuples, not sets: the index must stay small beside the model.
+        return cls(
+            members=members,
+            producers={x: tuple(cs) for x, cs in producers.items()},
+            consumers={x: tuple(cs) for x, cs in consumers.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -97,12 +134,16 @@ class Architecture:
             )
 
         comp_universe = frozenset(records)
-        chan_universe = frozenset(chan_from_ch) | frozenset(chan_from_var)
+        chans = set(chan_from_ch)
+        chans.update(chan_from_var)
+        variables = set(var_from)
+        variables.update(var_to)
         for rec in records.values():
-            chan_universe |= rec.inputs | rec.outputs
-        var_universe = frozenset(var_from) | frozenset(var_to)
-        for rec in records.values():
-            var_universe |= rec.vars
+            chans.update(rec.inputs)
+            chans.update(rec.outputs)
+            variables.update(rec.vars)
+        chan_universe = frozenset(chans)
+        var_universe = frozenset(variables)
 
         for name in chan_universe:
             _check_token(name, "channel")
@@ -231,6 +272,23 @@ class Architecture:
     def level_components(self, level: LevelId) -> frozenset[ComponentId]:
         self.require_level(level)
         return self.levels[level]
+
+    # -- per-level index (built on first use, not a dataclass field) --------
+
+    @cached_property
+    def _level_indexes(self) -> dict[LevelId, LevelIndex]:
+        # Lives in the instance __dict__, outside the fields, so it takes no
+        # part in ==, repr or serialization.
+        return {}
+
+    def level_index(self, level: LevelId) -> LevelIndex:
+        """The level's producer/consumer index, built once and then reused."""
+        self.require_level(level)
+        index = self._level_indexes.get(level)
+        if index is None:
+            index = LevelIndex.build(self.components, self.levels[level])
+            self._level_indexes[level] = index
+        return index
 
 
 # Aliases matching the operation names used throughout the analyses.

@@ -94,12 +94,8 @@ def highload_grouping(a: Architecture, level: LevelId) -> LevelPartition:
     the interface (inputs or outputs) of both; groups are the connected
     components of that relation, so shared inputs also merge.
     """
-    members = sorted(a.level_components(level))
-    touching: dict[ChannelId, list[ComponentId]] = {}
-    for c in members:
-        for x in (a.inputs_of(c) | a.outputs_of(c)) & a.highload_channels:
-            touching.setdefault(x, []).append(c)
-
+    index = a.level_index(level)
+    members = sorted(index.members)
     parent = {c: c for c in members}
 
     def find(c: ComponentId) -> ComponentId:
@@ -108,7 +104,8 @@ def highload_grouping(a: Architecture, level: LevelId) -> LevelPartition:
             c = parent[c]
         return c
 
-    for peers in touching.values():
+    for x in a.highload_channels:
+        peers = index.producers.get(x, ()) + index.consumers.get(x, ())
         for other in peers[1:]:
             ra, rb = find(peers[0]), find(other)
             if ra != rb:
@@ -141,15 +138,32 @@ def is_highload_channel(a: Architecture, x: ChannelId) -> bool:
     return x in a.highload_channels
 
 
-def _atoms(a: Architecture, c: ComponentId) -> frozenset[ComponentId]:
-    """Leaves of the subcomponent tree below c (c itself when undecomposed)."""
-    subs = a.subcomponents_of(c)
-    if not subs:
-        return frozenset((c,))
-    result: set[ComponentId] = set()
-    for s in subs:
-        result |= _atoms(a, s)
-    return frozenset(result)
+def _atoms(a: Architecture, roots) -> dict[ComponentId, frozenset[ComponentId]]:
+    """Leaves of the subcomponent tree below each root (a component itself
+    when undecomposed), for the roots and every component below them.
+
+    Iterative post-order with a memo: each component is expanded once, so
+    shared subcomponents cost nothing extra and depth meets no recursion
+    limit (the relation is acyclic, which ``Architecture.create`` checks).
+    """
+    atoms: dict[ComponentId, frozenset[ComponentId]] = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            c = stack[-1]
+            if c in atoms:
+                stack.pop()
+                continue
+            subs = a.components[c].subcomponents
+            pending = [s for s in subs if s not in atoms]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            atoms[c] = (
+                frozenset().union(*(atoms[s] for s in subs)) if subs else frozenset((c,))
+            )
+    return atoms
 
 
 def verify_level_refinement(
@@ -163,14 +177,21 @@ def verify_level_refinement(
     """
     fine_members = a.level_components(fine)
     coarse_members = sorted(a.level_components(coarse))
-    fine_atoms = {f: _atoms(a, f) for f in fine_members}
+    atoms = _atoms(a, fine_members.union(coarse_members))
+    # Atom sets are never empty, so a fine component whose atoms lie inside
+    # a coarse component's shares one of them: look it up by atom.
+    fine_by_atom: dict[ComponentId, list[ComponentId]] = {}
+    for f in fine_members:
+        for t in atoms[f]:
+            fine_by_atom.setdefault(t, []).append(f)
 
     witnesses: list[str] = []
     covered: dict[ComponentId, ComponentId] = {}
     for c in coarse_members:
-        atoms = _atoms(a, c)
-        group = {f for f in fine_members if fine_atoms[f] <= atoms}
-        leftover = atoms - frozenset().union(*(fine_atoms[f] for f in group)) if group else atoms
+        below = atoms[c]
+        candidates = {f for t in below for f in fine_by_atom.get(t, ())}
+        group = {f for f in candidates if atoms[f] <= below}
+        leftover = below - frozenset().union(*(atoms[f] for f in group)) if group else below
         if leftover:
             witnesses.append(
                 f"{c} covers no fine-level component for: " + ", ".join(sorted(leftover))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deps import sources
-from .model import Architecture, ChannelId, ComponentId, LevelId
+from .deps import upstream
+from .model import Architecture, ChannelId, ComponentId, LevelId, LevelIndex
 from .validate import ChannelClass, classify_channel
 
 
@@ -32,9 +32,13 @@ def in_set_of_components(
 ) -> frozenset[ComponentId]:
     """Level components consuming at least one channel from the set."""
     chset = _require_channels(a, chset)
-    return frozenset(
-        c for c in a.level_components(level) if a.inputs_of(c) & chset
-    )
+    consumers = a.level_index(level).consumers
+    return frozenset(c for x in chset for c in consumers.get(x, ()))
+
+
+def _out_set(index: LevelIndex, chset) -> frozenset[ComponentId]:
+    producers = index.producers
+    return frozenset(c for x in chset for c in producers.get(x, ()))
 
 
 def out_set_of_components(
@@ -42,61 +46,54 @@ def out_set_of_components(
 ) -> frozenset[ComponentId]:
     """Level components producing at least one channel from the set."""
     chset = _require_channels(a, chset)
-    return frozenset(
-        c for c in a.level_components(level) if a.outputs_of(c) & chset
-    )
+    return _out_set(a.level_index(level), chset)
 
 
 def min_set_of_components(
     a: Architecture, level: LevelId, chset
 ) -> frozenset[ComponentId]:
     """Producers of the property channels plus everything feeding them."""
-    out_set = out_set_of_components(a, level, chset)
-    result = set(out_set)
-    for c in out_set:
-        result |= sources(a, level, c)
-    return frozenset(result)
+    chset = _require_channels(a, chset)
+    index = a.level_index(level)
+    return upstream(a, index, _out_set(index, chset))
 
 
 def no_irrelevant_channels(a: Architecture, level: LevelId, chset) -> bool:
     """Every system input in the set is consumed inside the minimal slice."""
-    chset = _require_channels(a, chset)
-    min_set = min_set_of_components(a, level, chset)
-    for x in chset:
-        if classify_channel(a, x, level) is ChannelClass.SYSTEM_IN:
-            if not any(x in a.inputs_of(z) for z in min_set):
-                return False
-    return True
+    return slice_report(a, level, chset).no_irrelevant
 
 
 def all_needed_in_channels(a: Architecture, level: LevelId, chset) -> bool:
     """Each slice component has an input that is either internal or listed."""
-    chset = _require_channels(a, chset)
-    min_set = min_set_of_components(a, level, chset)
-    for z in min_set:
-        ok = any(
-            classify_channel(a, x, level) is not ChannelClass.SYSTEM_IN or x in chset
-            for x in a.inputs_of(z)
-        )
-        if not ok:
-            return False
-    return True
+    return slice_report(a, level, chset).all_needed
 
 
 def slice_report(a: Architecture, level: LevelId, chset) -> SliceReport:
-    """Assemble the slice, its verdicts, and the property's system inputs."""
+    """Assemble the slice, its verdicts, and the property's system inputs.
+
+    The minimal set comes from one walk seeded with the whole out set.
+    """
     chset = _require_channels(a, chset)
-    out_set = out_set_of_components(a, level, chset)
-    min_set = min_set_of_components(a, level, chset)
+    index = a.level_index(level)
+    out_set = _out_set(index, chset)
+    min_set = upstream(a, index, out_set)
+    system_inputs = frozenset(
+        x for x in chset if classify_channel(a, x, level) is ChannelClass.SYSTEM_IN
+    )
+    producers = index.producers
     return SliceReport(
         level=level,
         property_channels=chset,
         out_components=out_set,
         min_components=min_set,
-        no_irrelevant=no_irrelevant_channels(a, level, chset),
-        all_needed=all_needed_in_channels(a, level, chset),
-        system_inputs_in_property=frozenset(
-            x for x in chset
-            if classify_channel(a, x, level) is ChannelClass.SYSTEM_IN
+        no_irrelevant=all(
+            any(z in min_set for z in index.consumers[x]) for x in system_inputs
         ),
+        # z consumes each of its inputs, so an input is a system input
+        # exactly when nothing on the level produces it.
+        all_needed=all(
+            any(x in producers or x in chset for x in a.components[z].inputs)
+            for z in min_set
+        ),
+        system_inputs_in_property=system_inputs,
     )

@@ -65,11 +65,9 @@ def correct_decomposition_var(a: Architecture, s: ComponentId) -> bool:
 def correct_composition_out(a: Architecture, x: ChannelId) -> bool:
     """At most one component per level produces x."""
     a.require_channel(x)
-    for members in a.levels.values():
-        producers = [c for c in members if x in a.outputs_of(c)]
-        if len(producers) > 1:
-            return False
-    return True
+    return all(
+        len(a.level_index(level).producers.get(x, ())) <= 1 for level in a.levels
+    )
 
 
 def correct_composition_subcomp(a: Architecture, x: ComponentId) -> bool:
@@ -176,9 +174,9 @@ def var_useful(a: Architecture) -> bool:
 def classify_channel(a: Architecture, x: ChannelId, level: LevelId) -> ChannelClass:
     """Classify x on a level as system input/output, local, or unused."""
     a.require_channel(x)
-    members = a.level_components(level)
-    consumed = any(x in a.inputs_of(c) for c in members)
-    produced = any(x in a.outputs_of(c) for c in members)
+    index = a.level_index(level)
+    consumed = x in index.consumers
+    produced = x in index.producers
     if consumed and produced:
         return ChannelClass.LOCAL
     if consumed:

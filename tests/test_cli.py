@@ -245,3 +245,20 @@ def test_main_raises_system_exit(model_file, capsys):
         cli.main()
     assert excinfo.value.code == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b'{"levels": {"L\xff": []}}', "not UTF-8 text"),
+        (b"[" * 100_000, "nested too deeply"),
+    ],
+    ids=["non_utf8", "deep_nesting"],
+)
+def test_unreadable_document_exits_one(tmp_path, capsys, data, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert cli.run(["validate", str(path)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1

@@ -117,3 +117,30 @@ def test_export_dot_no_edge_for_shared_inputs():
 
 def test_bundled_document_is_canonical(arch):
     assert bundled_document() == ingest.serialize(arch)
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    a = Architecture.create(
+        components={'a"b': {"out": ['x"1']}, "c\\": {"in": ['x"1']}},
+        levels={'L"0': ['a"b', "c\\"]},
+    )
+    assert ingest.export_dot(a, 'L"0') == (
+        'digraph "L\\"0" {\n'
+        '  "a\\"b";\n'
+        '  "c\\\\";\n'
+        '  "a\\"b" -> "c\\\\" [label="x\\"1"];\n'
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ("[" * 100_000, "nested too deeply"),
+        ('{"highload_channels": [' + "1" * 5000 + "]}", "unreadable value"),
+    ],
+    ids=["deep_nesting", "huge_integer"],
+)
+def test_parse_unreadable_json_is_document_error(doc, message):
+    with pytest.raises(ingest.DocumentError, match=message):
+        ingest.parse(doc)

@@ -168,3 +168,27 @@ def test_refinement_double_coverage(arch):
 def test_refinement_identity_level(arch):
     report = optimize.verify_level_refinement(arch, "level0", "level0")
     assert report.ok
+
+
+def test_refinement_diamond_ladder_40_deep():
+    # d0 -> {l0, r0} -> d1 -> ... -> d40: 2**40 paths, 121 components
+    components = {"d40": {}}
+    for k in range(40):
+        components[f"d{k}"] = {"subcomp": [f"l{k}", f"r{k}"]}
+        components[f"l{k}"] = {"subcomp": [f"d{k + 1}"]}
+        components[f"r{k}"] = {"subcomp": [f"d{k + 1}"]}
+    a = Architecture.create(
+        components=components, levels={"fine": ["d40"], "coarse": ["d0"]}
+    )
+    assert optimize.verify_level_refinement(a, "fine", "coarse").ok
+
+
+def test_refinement_chain_5000_deep():
+    depth = 5000
+    components = {f"c{k}": {"subcomp": [f"c{k + 1}"]} for k in range(depth)}
+    components[f"c{depth}"] = {}
+    a = Architecture.create(
+        components=components,
+        levels={"fine": [f"c{depth}"], "coarse": ["c0"]},
+    )
+    assert optimize.verify_level_refinement(a, "fine", "coarse").ok
