@@ -46,8 +46,16 @@ def _check_token(name: str, kind: str) -> None:
         raise InvalidIdentifierError(f"invalid {kind} identifier: {name!r}")
 
 
-def _freeze(values: Iterable[str]) -> frozenset[str]:
-    return frozenset(values)
+def _inverse(pairs: Iterable[tuple[str, Iterable[str]]]) -> dict[str, tuple[str, ...]]:
+    """Each value of the (key, values) pairs, mapped to its keys in pair order.
+
+    Tuples, not sets: the indexes built from it must stay small beside the model.
+    """
+    inverse: dict[str, list[str]] = {}
+    for key, values in pairs:
+        for v in values:
+            inverse.setdefault(v, []).append(key)
+    return {v: tuple(keys) for v, keys in inverse.items()}
 
 
 @dataclass(frozen=True)
@@ -71,19 +79,62 @@ class LevelIndex:
         components: Mapping[ComponentId, ComponentRecord],
         members: frozenset[ComponentId],
     ) -> "LevelIndex":
-        producers: dict[ChannelId, list[ComponentId]] = {}
-        consumers: dict[ChannelId, list[ComponentId]] = {}
-        for c in sorted(members):
-            rec = components[c]
-            for x in rec.outputs:
-                producers.setdefault(x, []).append(c)
-            for x in rec.inputs:
-                consumers.setdefault(x, []).append(c)
-        # Tuples, not sets: the index must stay small beside the model.
+        records = [(c, components[c]) for c in sorted(members)]
         return cls(
             members=members,
-            producers={x: tuple(cs) for x, cs in producers.items()},
-            consumers={x: tuple(cs) for x, cs in consumers.items()},
+            producers=_inverse((c, rec.outputs) for c, rec in records),
+            consumers=_inverse((c, rec.inputs) for c, rec in records),
+        )
+
+
+@dataclass(frozen=True)
+class HierarchyIndex:
+    """The subcomponent hierarchy and the document-wide channel tables.
+
+    ``parents[level][c]``: the level's components with c as a subcomponent.
+    ``levels_of[c]``: the levels c is on. ``producers[x]``: every component,
+    on a level or not, with x among its outputs. ``targeted_by[x]``: the
+    variables whose ``var_to`` holds x. All in name order; a missing key
+    means none. ``finest_first``: the levels by the largest subcomponent
+    height among their members (an undecomposed component has height 0),
+    ties by name.
+    """
+
+    parents: Mapping[LevelId, Mapping[ComponentId, tuple[ComponentId, ...]]]
+    levels_of: Mapping[ComponentId, tuple[LevelId, ...]]
+    producers: Mapping[ChannelId, tuple[ComponentId, ...]]
+    targeted_by: Mapping[ChannelId, tuple[VariableId, ...]]
+    finest_first: tuple[LevelId, ...]
+
+    @classmethod
+    def build(cls, a: "Architecture") -> "HierarchyIndex":
+        components, levels = a.components, a.levels
+        # Iterative, because chains run deeper than the recursion limit; the
+        # relation is acyclic, which create checks.
+        height: dict[ComponentId, int] = {}
+        for root in components:
+            stack = [root]
+            while stack:
+                c = stack.pop()
+                if c in height:
+                    continue
+                subs = components[c].subcomponents
+                if all(s in height for s in subs):
+                    height[c] = 1 + max((height[s] for s in subs), default=-1)
+                else:
+                    stack.append(c)
+                    stack.extend(subs)
+        return cls(
+            parents={
+                lvl: _inverse((c, components[c].subcomponents) for c in sorted(levels[lvl]))
+                for lvl in sorted(levels)
+            },
+            levels_of=_inverse((lvl, levels[lvl]) for lvl in sorted(levels)),
+            producers=_inverse((c, components[c].outputs) for c in sorted(components)),
+            targeted_by=_inverse((v, a.var_to[v]) for v in sorted(a.var_to)),
+            finest_first=tuple(sorted(
+                levels, key=lambda lvl: (max((height[c] for c in levels[lvl]), default=0), lvl)
+            )),
         )
 
 
@@ -127,10 +178,10 @@ class Architecture:
         for name, spec in components.items():
             _check_token(name, "component")
             records[name] = ComponentRecord(
-                inputs=_freeze(spec.get("in", ())),
-                outputs=_freeze(spec.get("out", ())),
-                vars=_freeze(spec.get("var", ())),
-                subcomponents=_freeze(spec.get("subcomp", ())),
+                inputs=frozenset(spec.get("in", ())),
+                outputs=frozenset(spec.get("out", ())),
+                vars=frozenset(spec.get("var", ())),
+                subcomponents=frozenset(spec.get("subcomp", ())),
             )
 
         comp_universe = frozenset(records)
@@ -177,13 +228,13 @@ class Architecture:
 
         arch = cls(
             components={k: records[k] for k in sorted(records)},
-            levels={k: _freeze(levels[k]) for k in sorted(levels)},
-            chan_from_ch={c: _freeze(chan_from_ch.get(c, ())) for c in sorted(chan_universe)},
-            chan_from_var={c: _freeze(chan_from_var.get(c, ())) for c in sorted(chan_universe)},
-            var_from={v: _freeze(var_from.get(v, ())) for v in sorted(var_universe)},
-            var_to={v: _freeze(var_to.get(v, ())) for v in sorted(var_universe)},
-            highload_channels=_freeze(highload_channels),
-            highperf_components=_freeze(highperf_components),
+            levels={k: frozenset(levels[k]) for k in sorted(levels)},
+            chan_from_ch={c: frozenset(chan_from_ch.get(c, ())) for c in sorted(chan_universe)},
+            chan_from_var={c: frozenset(chan_from_var.get(c, ())) for c in sorted(chan_universe)},
+            var_from={v: frozenset(var_from.get(v, ())) for v in sorted(var_universe)},
+            var_to={v: frozenset(var_to.get(v, ())) for v in sorted(var_universe)},
+            highload_channels=frozenset(highload_channels),
+            highperf_components=frozenset(highperf_components),
         )
         arch._check_subcomp_acyclic()
         return arch
@@ -290,26 +341,10 @@ class Architecture:
             self._level_indexes[level] = index
         return index
 
-
-# Aliases matching the operation names used throughout the analyses.
-def lookup_in(a: Architecture, c: ComponentId) -> frozenset[ChannelId]:
-    return a.inputs_of(c)
-
-
-def lookup_out(a: Architecture, c: ComponentId) -> frozenset[ChannelId]:
-    return a.outputs_of(c)
-
-
-def lookup_var(a: Architecture, c: ComponentId) -> frozenset[VariableId]:
-    return a.vars_of(c)
-
-
-def lookup_subcomp(a: Architecture, c: ComponentId) -> frozenset[ComponentId]:
-    return a.subcomponents_of(c)
-
-
-def lookup_level(a: Architecture, level: LevelId) -> frozenset[ComponentId]:
-    return a.level_components(level)
+    @cached_property
+    def hierarchy_index(self) -> HierarchyIndex:
+        """The hierarchy index, built on first use and cached like the level indexes."""
+        return HierarchyIndex.build(self)
 
 
 _FIXTURE_IN = {

@@ -1,9 +1,17 @@
-"""Well-formedness predicates over an architecture and their aggregation."""
+"""Well-formedness predicates over an architecture and their aggregation.
+
+Each predicate is written once, as a generator of the witnesses that
+violate it among the entities it is given. ``validate_all`` runs each over
+its whole universe; the public boolean functions run it over one entity
+(or the whole document) and hold when it yields nothing. All of them read
+``Architecture.hierarchy_index`` and ``level_index`` in place of scans.
+"""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .model import Architecture, ChannelId, ComponentId, LevelId
 
@@ -36,139 +44,189 @@ class ValidationReport:
         return all(v.holds for v in self.verdicts.values())
 
 
+Witnesses = Iterator[Witness]
+
+
+def _composition_diff_levels(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
+    levels_of = a.hierarchy_index.levels_of
+    for c in comps:
+        subs = a.components[c].subcomponents
+        if subs and any(not subs.isdisjoint(a.levels[lvl]) for lvl in levels_of.get(c, ())):
+            yield Witness((c,), f"{c} shares a level with one of its subcomponents")
+
+
+def _composition_var(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
+    for c in comps:
+        own = a.components[c].vars
+        if any(not a.components[s].vars <= own for s in a.components[c].subcomponents):
+            yield Witness((c,), f"a subcomponent of {c} holds a variable {c} does not")
+
+
+def _decomposition_var(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
+    for c in comps:
+        own = a.components[c].vars
+        owned = [v for s in a.components[c].subcomponents for v in a.components[s].vars if v in own]
+        if len(owned) != len(set(owned)):
+            yield Witness((c,), f"two subcomponents of {c} share a variable")
+
+
+def _composition_out(a: Architecture, chans: Iterable[ChannelId]) -> Witnesses:
+    indexes = [a.level_index(level) for level in a.levels]
+    for x in chans:
+        if any(len(index.producers.get(x, ())) > 1 for index in indexes):
+            yield Witness((x,), f"{x} is produced by two components on one level")
+
+
+def _composition_subcomp(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
+    per_level = a.hierarchy_index.parents.values()
+    for c in comps:
+        if any(len(parents.get(c, ())) > 1 for parents in per_level):
+            yield Witness((c,), f"{c} is a subcomponent of two components on one level")
+
+
+def _unused_components(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
+    levels_of = a.hierarchy_index.levels_of
+    for c in comps:
+        if c not in levels_of:
+            yield Witness((c,), f"{c} appears on no abstraction level")
+
+
+def _outfromch(a: Architecture, chans: Iterable[ChannelId]) -> Witnesses:
+    producers = a.hierarchy_index.producers
+    for x in chans:
+        dep = a.chan_from_ch[x]
+        if dep and not any(dep <= a.components[z].inputs for z in producers.get(x, ())):
+            yield Witness((x,), f"no component consumes the deps of {x} and produces it")
+
+
+def _outfromv1(a: Architecture, chans: Iterable[ChannelId]) -> Witnesses:
+    producers = a.hierarchy_index.producers
+    for x in chans:
+        dep = a.chan_from_var[x]
+        if dep and not any(dep <= a.components[z].vars for z in producers.get(x, ())):
+            yield Witness((x,), f"no component owns the variables of {x} and produces it")
+
+
+def _outfromv2(a: Architecture, chans: Iterable[ChannelId]) -> Witnesses:
+    targeted_by = a.hierarchy_index.targeted_by
+    for x in chans:
+        if not a.chan_from_var[x] and x in targeted_by:
+            yield Witness((x,), f"{x} has no variable deps yet is a variable target")
+
+
+def _varto_mismatches(a: Architecture) -> Witnesses:
+    targeted_by = a.hierarchy_index.targeted_by
+    for x in sorted(a.chan_from_var):
+        for v in sorted(a.chan_from_var[x].symmetric_difference(targeted_by.get(x, ()))):
+            yield Witness((x, v), f"chan_from_var/var_to disagree on ({x}, {v})")
+
+
+def _default_level_pair(a: Architecture) -> tuple[LevelId, ...]:
+    return a.hierarchy_index.finest_first[:2]
+
+
+def _fine_var_escapes(
+    a: Architecture, levels: tuple[LevelId, ...] | None, side: str
+) -> Witnesses:
+    levels = _default_level_pair(a) if levels is None else levels
+    table = a.var_from if side == "inputs" else a.var_to
+    members: set[ComponentId] = set()
+    for lvl in levels:
+        members |= a.level_components(lvl)
+    for z in sorted(members):
+        ref = getattr(a.components[z], side)
+        for v in sorted(a.components[z].vars):
+            if not table[v] <= ref:
+                yield Witness((z, v), f"{v} of {z} uses channels outside its {side}")
+
+
+def _useless_vars(a: Architecture) -> Witnesses:
+    for v in sorted(a.var_to):
+        if not a.var_to[v]:
+            yield Witness((v,), f"{v} feeds no output channel")
+
+
 def correct_composition_diff_levels(a: Architecture, s: ComponentId) -> bool:
     """A component never shares an abstraction level with its subcomponents."""
-    subs = a.subcomponents_of(s)
-    return all(
-        not (subs & members)
-        for members in a.levels.values()
-        if s in members
-    )
+    a.require_component(s)
+    return not any(_composition_diff_levels(a, (s,)))
 
 
 def correct_composition_var(a: Architecture, s: ComponentId) -> bool:
     """Every subcomponent variable also belongs to the composed component."""
-    own = a.vars_of(s)
-    return all(a.vars_of(c) <= own for c in a.subcomponents_of(s))
+    a.require_component(s)
+    return not any(_composition_var(a, (s,)))
 
 
 def correct_decomposition_var(a: Architecture, s: ComponentId) -> bool:
     """No variable of s is shared by two distinct subcomponents."""
-    subs = sorted(a.subcomponents_of(s))
-    for v in a.vars_of(s):
-        owners = [c for c in subs if v in a.vars_of(c)]
-        if len(owners) > 1:
-            return False
-    return True
+    a.require_component(s)
+    return not any(_decomposition_var(a, (s,)))
 
 
 def correct_composition_out(a: Architecture, x: ChannelId) -> bool:
     """At most one component per level produces x."""
     a.require_channel(x)
-    return all(
-        len(a.level_index(level).producers.get(x, ())) <= 1 for level in a.levels
-    )
+    return not any(_composition_out(a, (x,)))
 
 
 def correct_composition_subcomp(a: Architecture, x: ComponentId) -> bool:
     """At most one component per level has x as a subcomponent."""
     a.require_component(x)
-    for members in a.levels.values():
-        parents = [c for c in members if x in a.subcomponents_of(c)]
-        if len(parents) > 1:
-            return False
-    return True
+    return not any(_composition_subcomp(a, (x,)))
 
 
 def all_components_used(a: Architecture) -> bool:
     """Every declared component appears on at least one level."""
-    on_levels: set[ComponentId] = set()
-    for members in a.levels.values():
-        on_levels |= members
-    return set(a.components) <= on_levels
+    return not any(_unused_components(a, a.components))
 
 
 def outfromch_correct(a: Architecture, x: ChannelId) -> bool:
     """Channel-level deps of x are witnessed by a producing component."""
     a.require_channel(x)
-    dep = a.chan_from_ch[x]
-    if not dep:
-        return True
-    return any(
-        x in rec.outputs and dep <= rec.inputs for rec in a.components.values()
-    )
+    return not any(_outfromch(a, (x,)))
 
 
 def outfromv_correct1(a: Architecture, x: ChannelId) -> bool:
     """Variable-level deps of x are witnessed by a producing component."""
     a.require_channel(x)
-    dep = a.chan_from_var[x]
-    if not dep:
-        return True
-    return any(
-        x in rec.outputs and dep <= rec.vars for rec in a.components.values()
-    )
+    return not any(_outfromv1(a, (x,)))
 
 
 def outfromv_correct2(a: Architecture, x: ChannelId) -> bool:
     """A channel with no variable deps never appears as a variable target."""
     a.require_channel(x)
-    if a.chan_from_var[x]:
-        return True
-    return all(x not in targets for targets in a.var_to.values())
+    return not any(_outfromv2(a, (x,)))
 
 
 def outfromv_varto_consistent(a: Architecture) -> bool:
     """chan_from_var and var_to describe the same relation."""
-    for x, dep in a.chan_from_var.items():
-        for v in dep:
-            if x not in a.var_to[v]:
-                return False
-    for v, targets in a.var_to.items():
-        for x in targets:
-            if v not in a.chan_from_var[x]:
-                return False
-    return True
-
-
-def _default_level_pair(a: Architecture) -> tuple[LevelId, ...]:
-    # The two finest levels in declaration order; fewer if fewer declared.
-    return tuple(list(a.levels)[:2])
+    return not any(_varto_mismatches(a))
 
 
 def varfrom_correct(
     a: Architecture, levels: tuple[LevelId, ...] | None = None
 ) -> bool:
-    """Variables of fine-level components are fed only from their inputs."""
-    levels = _default_level_pair(a) if levels is None else levels
-    members: set[ComponentId] = set()
-    for lvl in levels:
-        members |= a.level_components(lvl)
-    for z in members:
-        for v in a.vars_of(z):
-            if not a.var_from[v] <= a.inputs_of(z):
-                return False
-    return True
+    """Variables of fine-level components are fed only from their inputs.
+
+    By default the check covers the members of the two finest levels: the
+    levels are ranked by the largest subcomponent height among their
+    members (an undecomposed component has height 0), ties by level name.
+    """
+    return not any(_fine_var_escapes(a, levels, "inputs"))
 
 
 def varto_correct(
     a: Architecture, levels: tuple[LevelId, ...] | None = None
 ) -> bool:
-    """Variables of fine-level components feed only their outputs."""
-    levels = _default_level_pair(a) if levels is None else levels
-    members: set[ComponentId] = set()
-    for lvl in levels:
-        members |= a.level_components(lvl)
-    for z in members:
-        for v in a.vars_of(z):
-            if not a.var_to[v] <= a.outputs_of(z):
-                return False
-    return True
+    """Variables of fine-level components feed only their outputs; levels
+    default as for :func:`varfrom_correct`."""
+    return not any(_fine_var_escapes(a, levels, "outputs"))
 
 
 def var_useful(a: Architecture) -> bool:
     """Every variable contributes to at least one output channel."""
-    return all(a.var_to[v] for v in a.var_to)
+    return not any(_useless_vars(a))
 
 
 def classify_channel(a: Architecture, x: ChannelId, level: LevelId) -> ChannelClass:
@@ -186,17 +244,6 @@ def classify_channel(a: Architecture, x: ChannelId, level: LevelId) -> ChannelCl
     return ChannelClass.UNUSED
 
 
-def _quantified(
-    entities, predicate, describe
-) -> Verdict:
-    witnesses = tuple(
-        Witness(entities=(e,), reason=describe(e))
-        for e in sorted(entities)
-        if not predicate(e)
-    )
-    return Verdict(holds=not witnesses, witnesses=witnesses)
-
-
 PREDICATE_NAMES = (
     "composition_diff_levels",
     "composition_var",
@@ -211,7 +258,6 @@ PREDICATE_NAMES = (
     "varfrom_correct",
     "varto_correct",
     "var_useful",
-    "classification_exclusive",
 )
 
 
@@ -219,104 +265,23 @@ def validate_all(a: Architecture) -> ValidationReport:
     """Evaluate every well-formedness predicate with full witness lists."""
     comps = sorted(a.components)
     chans = sorted(a.chan_from_ch)
+    found = {
+        "composition_diff_levels": _composition_diff_levels(a, comps),
+        "composition_var": _composition_var(a, comps),
+        "decomposition_var": _decomposition_var(a, comps),
+        "composition_out": _composition_out(a, chans),
+        "composition_subcomp": _composition_subcomp(a, comps),
+        "all_components_used": _unused_components(a, comps),
+        "outfromch_correct": _outfromch(a, chans),
+        "outfromv_correct1": _outfromv1(a, chans),
+        "outfromv_correct2": _outfromv2(a, chans),
+        "outfromv_varto_consistent": _varto_mismatches(a),
+        "varfrom_correct": _fine_var_escapes(a, None, "inputs"),
+        "varto_correct": _fine_var_escapes(a, None, "outputs"),
+        "var_useful": _useless_vars(a),
+    }
     verdicts: dict[str, Verdict] = {}
-
-    verdicts["composition_diff_levels"] = _quantified(
-        comps,
-        lambda c: correct_composition_diff_levels(a, c),
-        lambda c: f"{c} shares a level with one of its subcomponents",
-    )
-    verdicts["composition_var"] = _quantified(
-        comps,
-        lambda c: correct_composition_var(a, c),
-        lambda c: f"a subcomponent of {c} holds a variable {c} does not",
-    )
-    verdicts["decomposition_var"] = _quantified(
-        comps,
-        lambda c: correct_decomposition_var(a, c),
-        lambda c: f"two subcomponents of {c} share a variable",
-    )
-    verdicts["composition_out"] = _quantified(
-        chans,
-        lambda x: correct_composition_out(a, x),
-        lambda x: f"{x} is produced by two components on one level",
-    )
-    verdicts["composition_subcomp"] = _quantified(
-        comps,
-        lambda c: correct_composition_subcomp(a, c),
-        lambda c: f"{c} is a subcomponent of two components on one level",
-    )
-    if all_components_used(a):
-        verdicts["all_components_used"] = Verdict(holds=True)
-    else:
-        on_levels: set[ComponentId] = set()
-        for members in a.levels.values():
-            on_levels |= members
-        verdicts["all_components_used"] = Verdict(
-            holds=False,
-            witnesses=tuple(
-                Witness((c,), f"{c} appears on no abstraction level")
-                for c in sorted(set(a.components) - on_levels)
-            ),
-        )
-    verdicts["outfromch_correct"] = _quantified(
-        chans,
-        lambda x: outfromch_correct(a, x),
-        lambda x: f"no component consumes the deps of {x} and produces it",
-    )
-    verdicts["outfromv_correct1"] = _quantified(
-        chans,
-        lambda x: outfromv_correct1(a, x),
-        lambda x: f"no component owns the variables of {x} and produces it",
-    )
-    verdicts["outfromv_correct2"] = _quantified(
-        chans,
-        lambda x: outfromv_correct2(a, x),
-        lambda x: f"{x} has no variable deps yet is a variable target",
-    )
-    if outfromv_varto_consistent(a):
-        verdicts["outfromv_varto_consistent"] = Verdict(holds=True)
-    else:
-        mismatches = []
-        for x in chans:
-            for v in sorted(a.var_from):
-                if (v in a.chan_from_var[x]) != (x in a.var_to[v]):
-                    mismatches.append(
-                        Witness((x, v), f"chan_from_var/var_to disagree on ({x}, {v})")
-                    )
-        verdicts["outfromv_varto_consistent"] = Verdict(
-            holds=False, witnesses=tuple(mismatches)
-        )
-    for name, check in (("varfrom_correct", varfrom_correct), ("varto_correct", varto_correct)):
-        if check(a):
-            verdicts[name] = Verdict(holds=True)
-        else:
-            levels = _default_level_pair(a)
-            members: set[ComponentId] = set()
-            for lvl in levels:
-                members |= a.level_components(lvl)
-            table = a.var_from if name == "varfrom_correct" else a.var_to
-            side = "inputs" if name == "varfrom_correct" else "outputs"
-            witnesses = []
-            for z in sorted(members):
-                for v in sorted(a.vars_of(z)):
-                    ref = a.inputs_of(z) if name == "varfrom_correct" else a.outputs_of(z)
-                    if not table[v] <= ref:
-                        witnesses.append(
-                            Witness((z, v), f"{v} of {z} uses channels outside its {side}")
-                        )
-            verdicts[name] = Verdict(holds=False, witnesses=tuple(witnesses))
-    verdicts["var_useful"] = _quantified(
-        sorted(a.var_to),
-        lambda v: bool(a.var_to[v]),
-        lambda v: f"{v} feeds no output channel",
-    )
-    # Exhaustive mutual-exclusivity check of the channel classification;
-    # tautological by construction, reported for completeness.
-    exclusive = all(
-        isinstance(classify_channel(a, x, lvl), ChannelClass)
-        for x in chans
-        for lvl in a.levels
-    )
-    verdicts["classification_exclusive"] = Verdict(holds=exclusive)
+    for name in PREDICATE_NAMES:
+        witnesses = tuple(found[name])
+        verdicts[name] = Verdict(holds=not witnesses, witnesses=witnesses)
     return ValidationReport(verdicts=verdicts)

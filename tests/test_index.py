@@ -1,7 +1,7 @@
 import dataclasses
 import time
 
-from archdeps import deps, ingest, slicing
+from archdeps import deps, ingest, slicing, validate
 from archdeps.model import Architecture, LevelIndex
 
 from .conftest import to_tables
@@ -61,3 +61,68 @@ def test_queries_on_20000_component_chain_are_near_linear():
     report = slicing.slice_report(fresh, "L0", ["x19999"])
     assert time.perf_counter() - start < 1.0
     assert len(report.min_components) == 20_000
+
+
+def test_hierarchy_index_contents_and_laziness(arch):
+    fresh = Architecture.create(**to_tables(arch))
+    assert "hierarchy_index" not in vars(fresh)
+    index = fresh.hierarchy_index
+    assert index is fresh.hierarchy_index
+    assert fresh == arch and ingest.serialize(fresh) == ingest.serialize(arch)
+    assert index.parents["level2"]["sA22"] == ("sS6",)
+    assert index.parents["level3"]["sA22"] == ("sS4opt",)
+    assert index.parents["level0"]["sA22"] == ("sA2",)
+    assert index.parents["level1"] == {}
+    assert index.levels_of["sS3"] == ("level2", "level3")
+    assert index.producers == {
+        x: tuple(c for c in sorted(arch.components) if x in arch.outputs_of(c))
+        for x in arch.chan_from_ch
+        if any(x in rec.outputs for rec in arch.components.values())
+    }
+    assert index.targeted_by["data15"] == ("stA6",)
+    assert set(index.targeted_by) == set().union(*arch.var_to.values())
+    assert index.finest_first == ("level1", "level0", "level2", "level3")
+
+
+def test_hierarchy_index_on_5000_deep_chain():
+    depth = 5000
+    components = {f"c{k}": {"subcomp": [f"c{k + 1}"]} for k in range(depth)}
+    components[f"c{depth}"] = {}
+    a = Architecture.create(
+        components=components,
+        levels={"fine": [f"c{depth}"], "coarse": ["c0"], "mid": ["c2500"]},
+    )
+    assert a.hierarchy_index.finest_first == ("fine", "mid", "coarse")
+
+
+def test_validate_all_on_20001_component_hierarchy_is_near_linear():
+    # L0: a chain of atoms, one variable each; L1: one wrapper per atom;
+    # L2: one component over every wrapper.
+    n = 10_000
+    components = {}
+    for i in range(n):
+        interface = {"in": [f"x{i - 1}"] if i else [], "out": [f"x{i}"], "var": [f"v{i}"]}
+        components[f"a{i}"] = interface
+        components[f"w{i}"] = {**interface, "subcomp": [f"a{i}"]}
+    components["top"] = {
+        "out": [f"x{n - 1}"],
+        "var": [f"v{i}" for i in range(n)],
+        "subcomp": [f"w{i}" for i in range(n)],
+    }
+    a = Architecture.create(
+        components=components,
+        levels={
+            "L0": [f"a{i}" for i in range(n)],
+            "L1": [f"w{i}" for i in range(n)],
+            "L2": ["top"],
+        },
+        chan_from_ch={f"x{i}": [f"x{i - 1}"] if i else [] for i in range(n)},
+        chan_from_var={f"x{i}": [f"v{i}"] for i in range(n)},
+        var_from={f"v{i}": [f"x{i - 1}"] if i else [] for i in range(n)},
+        var_to={f"v{i}": [f"x{i}"] for i in range(n)},
+    )
+    start = time.perf_counter()
+    report = validate.validate_all(a)
+    assert time.perf_counter() - start < 2.0
+    assert report.all_hold
+    assert len(a.components) == 20_001

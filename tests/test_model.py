@@ -5,20 +5,15 @@ from archdeps.model import (
     SubcomponentCycleError,
     UnknownIdentifierError,
     case_study_fixture,
-    lookup_in,
-    lookup_level,
-    lookup_out,
-    lookup_subcomp,
-    lookup_var,
 )
 
 
 def test_fixture_in_sa4(arch):
-    assert lookup_in(arch, "sA4") == {"data6", "data7", "data13"}
+    assert arch.inputs_of("sA4") == {"data6", "data7", "data13"}
 
 
 def test_fixture_level3(arch):
-    assert lookup_level(arch, "level3") == {
+    assert arch.level_components("level3") == {
         "sS1opt", "sS3", "sS4opt", "sS7opt", "sS9",
         "sS10", "sS11opt", "sS12", "sS13",
     }
@@ -44,31 +39,31 @@ def test_fixture_cardinalities(arch):
 
 
 def test_lookup_out_sa9(arch):
-    assert lookup_out(arch, "sA9") == {"data22", "data23", "data24"}
+    assert arch.outputs_of("sA9") == {"data22", "data23", "data24"}
 
 
 def test_lookup_subcomp_empty(arch):
-    assert lookup_subcomp(arch, "sA5") == frozenset()
+    assert arch.subcomponents_of("sA5") == frozenset()
 
 
 def test_lookup_var_empty_entry():
     a = Architecture.create(components={"X": {}})
-    assert lookup_var(a, "X") == frozenset()
+    assert a.vars_of("X") == frozenset()
 
 
 def test_lookups_deterministic(arch):
-    assert lookup_in(arch, "sA2") == lookup_in(arch, "sA2")
-    assert lookup_level(arch, "level1") == lookup_level(arch, "level1")
+    assert arch.inputs_of("sA2") == arch.inputs_of("sA2")
+    assert arch.level_components("level1") == arch.level_components("level1")
 
 
 def test_unknown_component(arch):
     with pytest.raises(UnknownIdentifierError):
-        lookup_in(arch, "sAX")
+        arch.inputs_of("sAX")
 
 
 def test_unknown_level(arch):
     with pytest.raises(UnknownIdentifierError):
-        lookup_level(arch, "level9")
+        arch.level_components("level9")
 
 
 def test_undeclared_reference_rejected():

@@ -263,3 +263,128 @@ def test_validate_all_never_crashes_and_reports_everything(seed):
     assert set(report.verdicts) == set(validate.PREDICATE_NAMES)
     for verdict in report.verdicts.values():
         assert verdict.holds == (not verdict.witnesses)
+
+
+def brute_force_witnesses(a) -> dict:
+    """Every predicate's witness entity tuples, transcribed from its definition."""
+    comps, chans, variables = sorted(a.components), sorted(a.chan_from_ch), sorted(a.var_from)
+    rec = a.components
+    levels = a.levels.values()
+    members = set().union(*(a.levels[lvl] for lvl in validate._default_level_pair(a)))
+    return {
+        "composition_diff_levels": [
+            (c,) for c in comps
+            if any(c in m and rec[c].subcomponents & m for m in levels)
+        ],
+        "composition_var": [
+            (c,) for c in comps
+            if any(not rec[s].vars <= rec[c].vars for s in rec[c].subcomponents)
+        ],
+        "decomposition_var": [
+            (c,) for c in comps
+            if any(
+                sum(v in rec[s].vars for s in rec[c].subcomponents) > 1
+                for v in rec[c].vars
+            )
+        ],
+        "composition_out": [
+            (x,) for x in chans
+            if any(sum(x in rec[c].outputs for c in m) > 1 for m in levels)
+        ],
+        "composition_subcomp": [
+            (c,) for c in comps
+            if any(sum(c in rec[p].subcomponents for p in m) > 1 for m in levels)
+        ],
+        "all_components_used": [
+            (c,) for c in comps if not any(c in m for m in levels)
+        ],
+        "outfromch_correct": [
+            (x,) for x in chans
+            if a.chan_from_ch[x] and not any(
+                x in rec[z].outputs and a.chan_from_ch[x] <= rec[z].inputs for z in comps
+            )
+        ],
+        "outfromv_correct1": [
+            (x,) for x in chans
+            if a.chan_from_var[x] and not any(
+                x in rec[z].outputs and a.chan_from_var[x] <= rec[z].vars for z in comps
+            )
+        ],
+        "outfromv_correct2": [
+            (x,) for x in chans
+            if not a.chan_from_var[x] and any(x in a.var_to[v] for v in variables)
+        ],
+        "outfromv_varto_consistent": [
+            (x, v) for x in chans for v in variables
+            if (v in a.chan_from_var[x]) != (x in a.var_to[v])
+        ],
+        "varfrom_correct": [
+            (z, v) for z in sorted(members) for v in sorted(rec[z].vars)
+            if not a.var_from[v] <= rec[z].inputs
+        ],
+        "varto_correct": [
+            (z, v) for z in sorted(members) for v in sorted(rec[z].vars)
+            if not a.var_to[v] <= rec[z].outputs
+        ],
+        "var_useful": [(v,) for v in variables if not a.var_to[v]],
+    }
+
+
+PER_COMPONENT = {
+    "composition_diff_levels": validate.correct_composition_diff_levels,
+    "composition_var": validate.correct_composition_var,
+    "decomposition_var": validate.correct_decomposition_var,
+    "composition_subcomp": validate.correct_composition_subcomp,
+}
+
+PER_CHANNEL = {
+    "composition_out": validate.correct_composition_out,
+    "outfromch_correct": validate.outfromch_correct,
+    "outfromv_correct1": validate.outfromv_correct1,
+    "outfromv_correct2": validate.outfromv_correct2,
+}
+
+WHOLE_DOCUMENT = {
+    "all_components_used": validate.all_components_used,
+    "outfromv_varto_consistent": validate.outfromv_varto_consistent,
+    "varfrom_correct": validate.varfrom_correct,
+    "varto_correct": validate.varto_correct,
+    "var_useful": validate.var_useful,
+}
+
+REASONS = {
+    "composition_diff_levels": "{0} shares a level with one of its subcomponents",
+    "composition_var": "a subcomponent of {0} holds a variable {0} does not",
+    "decomposition_var": "two subcomponents of {0} share a variable",
+    "composition_out": "{0} is produced by two components on one level",
+    "composition_subcomp": "{0} is a subcomponent of two components on one level",
+    "all_components_used": "{0} appears on no abstraction level",
+    "outfromch_correct": "no component consumes the deps of {0} and produces it",
+    "outfromv_correct1": "no component owns the variables of {0} and produces it",
+    "outfromv_correct2": "{0} has no variable deps yet is a variable target",
+    "outfromv_varto_consistent": "chan_from_var/var_to disagree on ({0}, {1})",
+    "varfrom_correct": "{1} of {0} uses channels outside its inputs",
+    "varto_correct": "{1} of {0} uses channels outside its outputs",
+    "var_useful": "{0} feeds no output channel",
+}
+
+
+@settings(max_examples=200)
+@given(seeds)
+def test_validate_witnesses_match_definitions(seed):
+    a = build(seed)
+    report = validate.validate_all(a)
+    expected = brute_force_witnesses(a)
+    assert set(expected) <= set(report.verdicts)
+    for name, verdict in report.verdicts.items():
+        # witnesses come in sorted order of their entity tuples
+        assert [w.entities for w in verdict.witnesses] == sorted(expected.get(name, ()))
+        assert [w.reason for w in verdict.witnesses] == [
+            REASONS[name].format(*w.entities) for w in verdict.witnesses
+        ]
+        assert verdict.holds == (not verdict.witnesses)
+    for checks, universe in ((PER_COMPONENT, a.components), (PER_CHANNEL, a.chan_from_ch)):
+        for name, check in checks.items():
+            assert {(e,) for e in universe if not check(a, e)} == set(expected[name])
+    for name, check in WHOLE_DOCUMENT.items():
+        assert check(a) == report.verdicts[name].holds

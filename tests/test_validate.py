@@ -148,6 +148,27 @@ def test_varfrom_correct_explicit_level_pair(arch):
     assert validate.varfrom_correct(arch, ("level0", "level1"))
 
 
+def test_default_level_pair_is_the_two_finest_levels(arch):
+    # Level names sort coarsest first here, so name order gives the wrong pair.
+    a = Architecture.create(
+        components={
+            "f1": {"in": ["x1"], "out": ["x2"], "var": ["v1"]},
+            "m1": {"in": ["x0", "x1"], "out": ["x2"], "var": ["v1"], "subcomp": ["f1"]},
+            "a1": {"in": ["x0", "x1"], "out": ["x2"], "var": ["v1"], "subcomp": ["m1"]},
+        },
+        levels={"z_fine": ["f1"], "m_mid": ["m1"], "a_coarse": ["a1"]},
+        chan_from_var={"x2": ["v1"]},
+        var_from={"v1": ["x0"]},
+        var_to={"v1": ["x2"]},
+    )
+    assert not validate.varfrom_correct(a)
+    assert validate.varfrom_correct(a, ("a_coarse", "m_mid"))
+    witnesses = validate.validate_all(a).verdicts["varfrom_correct"].witnesses
+    assert [w.entities for w in witnesses] == [("f1", "v1")]
+    # level1 holds only atoms; level0 and level2 tie at height 1
+    assert validate._default_level_pair(arch) == ("level1", "level0")
+
+
 def test_var_useful_holds(arch):
     assert validate.var_useful(arch)
 
