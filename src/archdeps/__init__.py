@@ -1,5 +1,6 @@
 """Component data-dependency analysis of layered system architectures."""
 
+from .ingest import case_study_fixture
 from .model import (
     Architecture,
     ComponentRecord,
@@ -7,7 +8,6 @@ from .model import (
     ModelError,
     SubcomponentCycleError,
     UnknownIdentifierError,
-    case_study_fixture,
 )
 
 __all__ = [

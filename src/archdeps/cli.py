@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import deps, elementary, ingest, optimize, slicing, validate
-from .model import Architecture, ModelError, case_study_fixture
+from .model import Architecture, ModelError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -279,7 +279,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
-    _emit(ingest.serialize(case_study_fixture()), args.output)
+    _emit(ingest.serialize(ingest.case_study_fixture()), args.output)
     return EXIT_OK
 
 

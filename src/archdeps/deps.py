@@ -6,18 +6,7 @@ that level; the result is the empty set, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import Architecture, ChannelId, ComponentId, LevelId, LevelIndex
-
-
-@dataclass(frozen=True)
-class LevelGraph:
-    """One level's direct-dependency graph: edge (Z, C) means Z feeds C."""
-
-    level: LevelId
-    nodes: frozenset[ComponentId]
-    edges: tuple[tuple[ComponentId, ComponentId], ...]
 
 
 def _feeders(a: Architecture, index: LevelIndex, c: ComponentId) -> set[ComponentId]:
@@ -123,15 +112,3 @@ def chan_transitive_deps(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:
                 seen.add(y)
                 todo.append(y)
     return frozenset(seen)
-
-
-def level_graph(a: Architecture, level: LevelId) -> LevelGraph:
-    """Materialize the level's direct-dependency edges in canonical order."""
-    index = a.level_index(level)
-    edges = {
-        (z, c)
-        for x, zs in index.producers.items()
-        for z in zs
-        for c in index.consumers.get(x, ())
-    }
-    return LevelGraph(level=level, nodes=index.members, edges=tuple(sorted(edges)))

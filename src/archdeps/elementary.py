@@ -2,15 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import Architecture, ChannelId, ComponentId, LevelId
-
-
-@dataclass(frozen=True)
-class CorrelationSet:
-    channel: ChannelId
-    correlated: frozenset[ChannelId]
 
 
 def out_pair_correlated(
@@ -27,13 +19,10 @@ def out_pair_correlated(
     )
 
 
-def out_set_correlated(a: Architecture, x: ChannelId) -> CorrelationSet:
+def out_set_correlated(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:
     """Channels fed by a variable that also feeds x."""
     a.require_channel(x)
-    correlated = frozenset(
-        y for v in a.chan_from_var[x] for y in a.var_to[v]
-    )
-    return CorrelationSet(channel=x, correlated=correlated)
+    return frozenset(y for v in a.chan_from_var[x] for y in a.var_to[v])
 
 
 def is_elementary(a: Architecture, c: ComponentId) -> bool:
@@ -44,7 +33,7 @@ def is_elementary(a: Architecture, c: ComponentId) -> bool:
     outputs = a.outputs_of(c)
     if len(outputs) == 1:
         return True
-    corr = {x: out_set_correlated(a, x).correlated for x in outputs}
+    corr = {x: out_set_correlated(a, x) for x in outputs}
     return all(corr[x] & corr[y] for x in outputs for y in outputs)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .model import Architecture, LevelId, ModelError
 
@@ -93,6 +94,15 @@ def parse(doc: str) -> Architecture:
             raw.get("highperf_components", []), "highperf_components"
         ),
     )
+
+
+@lru_cache(maxsize=1)
+def case_study_fixture() -> Architecture:
+    """The bundled four-level example system S, parsed from data/system_s.json."""
+    from importlib import resources  # here, so other CLI calls do not import it
+
+    path = resources.files(__package__) / "data" / "system_s.json"
+    return parse(path.read_text(encoding="utf-8"))
 
 
 def serialize(a: Architecture) -> str:

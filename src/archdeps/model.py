@@ -8,7 +8,7 @@ Architecture is constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping
 
 ComponentId = str
@@ -22,7 +22,10 @@ class ModelError(Exception):
 
 
 class InvalidIdentifierError(ModelError):
-    """An identifier token is empty or contains whitespace."""
+    """An identifier token is empty or contains whitespace or a comma.
+
+    Commas are excluded because the CLI takes channel lists comma-separated.
+    """
 
 
 class UnknownIdentifierError(ModelError):
@@ -42,7 +45,7 @@ class ComponentRecord:
 
 
 def _check_token(name: str, kind: str) -> None:
-    if not isinstance(name, str) or not name or any(c.isspace() for c in name):
+    if not isinstance(name, str) or not name or "," in name or any(c.isspace() for c in name):
         raise InvalidIdentifierError(f"invalid {kind} identifier: {name!r}")
 
 
@@ -56,6 +59,40 @@ def _inverse(pairs: Iterable[tuple[str, Iterable[str]]]) -> dict[str, tuple[str,
         for v in values:
             inverse.setdefault(v, []).append(key)
     return {v: tuple(keys) for v, keys in inverse.items()}
+
+
+def _post_order(
+    components: Mapping[ComponentId, ComponentRecord], roots: Iterable[ComponentId]
+) -> list[ComponentId]:
+    """The roots and every component below them, each after its subcomponents.
+
+    Roots and children are visited in name order, and the walk is iterative,
+    so depth meets no recursion limit. Raises SubcomponentCycleError, naming
+    the first cycle met, when the relation below the roots is cyclic.
+    """
+    done: dict[ComponentId, bool] = {}  # False while on the path
+    order: list[ComponentId] = []
+    for root in sorted(roots):
+        if root in done:
+            continue
+        done[root] = False
+        path = [root]
+        stack = [iter(sorted(components[root].subcomponents))]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+                node = path.pop()
+                done[node] = True
+                order.append(node)
+            elif child not in done:
+                done[child] = False
+                path.append(child)
+                stack.append(iter(sorted(components[child].subcomponents)))
+            elif not done[child]:
+                cycle = path[path.index(child):] + [child]
+                raise SubcomponentCycleError("subcomponent cycle: " + " -> ".join(cycle))
+    return order
 
 
 @dataclass(frozen=True)
@@ -109,21 +146,9 @@ class HierarchyIndex:
     @classmethod
     def build(cls, a: "Architecture") -> "HierarchyIndex":
         components, levels = a.components, a.levels
-        # Iterative, because chains run deeper than the recursion limit; the
-        # relation is acyclic, which create checks.
         height: dict[ComponentId, int] = {}
-        for root in components:
-            stack = [root]
-            while stack:
-                c = stack.pop()
-                if c in height:
-                    continue
-                subs = components[c].subcomponents
-                if all(s in height for s in subs):
-                    height[c] = 1 + max((height[s] for s in subs), default=-1)
-                else:
-                    stack.append(c)
-                    stack.extend(subs)
+        for c in _post_order(components, components):
+            height[c] = 1 + max((height[s] for s in components[c].subcomponents), default=-1)
         return cls(
             parents={
                 lvl: _inverse((c, components[c].subcomponents) for c in sorted(levels[lvl]))
@@ -236,55 +261,13 @@ class Architecture:
             highload_channels=frozenset(highload_channels),
             highperf_components=frozenset(highperf_components),
         )
-        arch._check_subcomp_acyclic()
+        # Raises on a cycle: HighPerf recursion and level flattening need none.
+        _post_order(arch.components, arch.components)
         return arch
-
-    def _check_subcomp_acyclic(self) -> None:
-        # Iterative DFS; HighPerf recursion and level flattening rely on this.
-        state: dict[ComponentId, int] = {}  # 1 = on stack, 2 = done
-        for root in self.components:
-            if state.get(root):
-                continue
-            stack: list[tuple[ComponentId, Iterable[ComponentId]]] = [
-                (root, iter(sorted(self.components[root].subcomponents)))
-            ]
-            state[root] = 1
-            path = [root]
-            while stack:
-                node, children = stack[-1]
-                child = next(children, None)
-                if child is None:
-                    stack.pop()
-                    path.pop()
-                    state[node] = 2
-                    continue
-                if state.get(child) == 1:
-                    cycle = path[path.index(child):] + [child]
-                    raise SubcomponentCycleError(
-                        "subcomponent cycle: " + " -> ".join(cycle)
-                    )
-                if not state.get(child):
-                    state[child] = 1
-                    path.append(child)
-                    stack.append((child, iter(sorted(self.components[child].subcomponents))))
-
-    # -- universes ---------------------------------------------------------
-
-    @property
-    def component_ids(self) -> frozenset[ComponentId]:
-        return frozenset(self.components)
 
     @property
     def channel_ids(self) -> frozenset[ChannelId]:
         return frozenset(self.chan_from_ch)
-
-    @property
-    def variable_ids(self) -> frozenset[VariableId]:
-        return frozenset(self.var_from)
-
-    @property
-    def level_ids(self) -> frozenset[LevelId]:
-        return frozenset(self.levels)
 
     # -- lookups (total; unknown identifiers are an error) -----------------
 
@@ -295,10 +278,6 @@ class Architecture:
     def require_channel(self, x: ChannelId) -> None:
         if x not in self.chan_from_ch:
             raise UnknownIdentifierError(f"unknown channel: {x}")
-
-    def require_variable(self, v: VariableId) -> None:
-        if v not in self.var_from:
-            raise UnknownIdentifierError(f"unknown variable: {v}")
 
     def require_level(self, level: LevelId) -> None:
         if level not in self.levels:
@@ -346,237 +325,3 @@ class Architecture:
         """The hierarchy index, built on first use and cached like the level indexes."""
         return HierarchyIndex.build(self)
 
-
-_FIXTURE_IN = {
-    "sA1": ["data1"],
-    "sA2": ["data2", "data3"],
-    "sA3": ["data4", "data5"],
-    "sA4": ["data6", "data7", "data13"],
-    "sA5": ["data8"],
-    "sA6": ["data14"],
-    "sA7": ["data15", "data16"],
-    "sA8": ["data17", "data18", "data19", "data22"],
-    "sA9": ["data20", "data21"],
-    "sA11": ["data1"],
-    "sA12": ["data1"],
-    "sA21": ["data2"],
-    "sA22": ["data2", "data3"],
-    "sA23": ["data2"],
-    "sA31": ["data4"],
-    "sA32": ["data5"],
-    "sA41": ["data6", "data7"],
-    "sA42": ["data13"],
-    "sA71": ["data15"],
-    "sA72": ["data16"],
-    "sA81": ["data17", "data22"],
-    "sA82": ["data18", "data19"],
-    "sA91": ["data20"],
-    "sA92": ["data20"],
-    "sA93": ["data21"],
-    "sS1": ["data1"],
-    "sS2": ["data1"],
-    "sS3": ["data2"],
-    "sS4": ["data2"],
-    "sS5": ["data5"],
-    "sS6": ["data2", "data7"],
-    "sS7": ["data13"],
-    "sS8": ["data8"],
-    "sS9": ["data14"],
-    "sS10": ["data15"],
-    "sS11": ["data16"],
-    "sS12": ["data17"],
-    "sS13": ["data20"],
-    "sS14": ["data18", "data19"],
-    "sS15": ["data21"],
-    "sS1opt": ["data1"],
-    "sS4opt": ["data2"],
-    "sS7opt": ["data13"],
-    "sS11opt": ["data16", "data19"],
-}
-
-_FIXTURE_OUT = {
-    "sA1": ["data2", "data10"],
-    "sA2": ["data4", "data5", "data11", "data12"],
-    "sA3": ["data6", "data7"],
-    "sA4": ["data3", "data8"],
-    "sA5": ["data9"],
-    "sA6": ["data15", "data16"],
-    "sA7": ["data17", "data18"],
-    "sA8": ["data20", "data21"],
-    "sA9": ["data22", "data23", "data24"],
-    "sA11": ["data2"],
-    "sA12": ["data10"],
-    "sA21": ["data11"],
-    "sA22": ["data4", "data12"],
-    "sA23": ["data5"],
-    "sA31": ["data6"],
-    "sA32": ["data7"],
-    "sA41": ["data3"],
-    "sA42": ["data8"],
-    "sA71": ["data17"],
-    "sA72": ["data18"],
-    "sA81": ["data20"],
-    "sA82": ["data21"],
-    "sA91": ["data22"],
-    "sA92": ["data23"],
-    "sA93": ["data24"],
-    "sS1": ["data10"],
-    "sS2": ["data2"],
-    "sS3": ["data11"],
-    "sS4": ["data5"],
-    "sS5": ["data7"],
-    "sS6": ["data12"],
-    "sS7": ["data8"],
-    "sS8": ["data9"],
-    "sS9": ["data15", "data16"],
-    "sS10": ["data17"],
-    "sS11": ["data18"],
-    "sS12": ["data20"],
-    "sS13": ["data23"],
-    "sS14": ["data21"],
-    "sS15": ["data24"],
-    "sS1opt": ["data2", "data10"],
-    "sS4opt": ["data12"],
-    "sS7opt": ["data9"],
-    "sS11opt": ["data24"],
-}
-
-_FIXTURE_VAR = {
-    "sA1": ["stA1"],
-    "sA2": ["stA2"],
-    "sA4": ["stA4"],
-    "sA6": ["stA6"],
-    "sA12": ["stA1"],
-    "sA22": ["stA2"],
-    "sA41": ["stA4"],
-    "sS1": ["stA1"],
-    "sS6": ["stA2", "stA4"],
-    "sS9": ["stA6"],
-    "sS1opt": ["stA1"],
-    "sS4opt": ["stA2", "stA4"],
-}
-
-_FIXTURE_SUBCOMP = {
-    "sA1": ["sA11", "sA12"],
-    "sA2": ["sA21", "sA22", "sA23"],
-    "sA3": ["sA31", "sA32"],
-    "sA4": ["sA41", "sA42"],
-    "sA7": ["sA71", "sA72"],
-    "sA8": ["sA81", "sA82"],
-    "sA9": ["sA91", "sA92", "sA93"],
-    "sS1": ["sA12"],
-    "sS2": ["sA11"],
-    "sS3": ["sA21"],
-    "sS4": ["sA23"],
-    "sS5": ["sA32"],
-    "sS6": ["sA22", "sA31", "sA41"],
-    "sS7": ["sA42"],
-    "sS8": ["sA5"],
-    "sS9": ["sA6"],
-    "sS10": ["sA71"],
-    "sS11": ["sA72"],
-    "sS12": ["sA81", "sA91"],
-    "sS13": ["sA92"],
-    "sS14": ["sA82"],
-    "sS15": ["sA93"],
-    "sS1opt": ["sA11", "sA12"],
-    "sS4opt": ["sA22", "sA23", "sA31", "sA32", "sA41"],
-    "sS7opt": ["sA42", "sA5"],
-    "sS11opt": ["sA72", "sA82", "sA93"],
-}
-
-_FIXTURE_LEVELS = {
-    "level0": ["sA1", "sA2", "sA3", "sA4", "sA5", "sA6", "sA7", "sA8", "sA9"],
-    "level1": [
-        "sA11", "sA12", "sA21", "sA22", "sA23", "sA31", "sA32", "sA41", "sA42",
-        "sA5", "sA6", "sA71", "sA72", "sA81", "sA82", "sA91", "sA92", "sA93",
-    ],
-    "level2": [
-        "sS1", "sS2", "sS3", "sS4", "sS5", "sS6", "sS7", "sS8",
-        "sS9", "sS10", "sS11", "sS12", "sS13", "sS14", "sS15",
-    ],
-    "level3": [
-        "sS1opt", "sS3", "sS4opt", "sS7opt", "sS9",
-        "sS10", "sS11opt", "sS12", "sS13",
-    ],
-}
-
-_FIXTURE_CHAN_FROM_CH = {
-    "data1": [],
-    "data2": ["data1"],
-    "data3": [],
-    "data4": ["data2"],
-    "data5": ["data2"],
-    "data6": ["data4"],
-    "data7": ["data5"],
-    "data8": ["data13"],
-    "data9": ["data8"],
-    "data10": [],
-    "data11": ["data2"],
-    "data12": [],
-    "data13": [],
-    "data14": [],
-    "data15": [],
-    "data16": [],
-    "data17": ["data15"],
-    "data18": ["data16"],
-    "data19": [],
-    "data20": ["data17", "data22"],
-    "data21": ["data18", "data19"],
-    "data22": ["data20"],
-    "data23": ["data21"],
-    "data24": ["data20"],
-}
-
-_FIXTURE_CHAN_FROM_VAR = {
-    "data3": ["stA4"],
-    "data4": ["stA2"],
-    "data10": ["stA1"],
-    "data12": ["stA2"],
-    "data15": ["stA6"],
-    "data16": ["stA6"],
-}
-
-_FIXTURE_VAR_FROM = {
-    "stA1": ["data1"],
-    "stA2": ["data3"],
-    "stA4": ["data6", "data7"],
-    "stA6": ["data14"],
-}
-
-_FIXTURE_VAR_TO = {
-    "stA1": ["data10"],
-    "stA2": ["data4", "data12"],
-    "stA4": ["data3"],
-    "stA6": ["data15", "data16"],
-}
-
-_FIXTURE_HIGHLOAD = [
-    "data1", "data4", "data5", "data6", "data7", "data8", "data18", "data21",
-]
-
-_FIXTURE_HIGHPERF = ["sA22", "sA23", "sA41", "sA42", "sA72", "sA93"]
-
-
-@lru_cache(maxsize=1)
-def case_study_fixture() -> Architecture:
-    """The bundled four-level example system S."""
-    components = {
-        name: {
-            "in": _FIXTURE_IN.get(name, []),
-            "out": _FIXTURE_OUT.get(name, []),
-            "var": _FIXTURE_VAR.get(name, []),
-            "subcomp": _FIXTURE_SUBCOMP.get(name, []),
-        }
-        for name in _FIXTURE_IN
-    }
-    return Architecture.create(
-        components=components,
-        levels=_FIXTURE_LEVELS,
-        chan_from_ch=_FIXTURE_CHAN_FROM_CH,
-        chan_from_var=_FIXTURE_CHAN_FROM_VAR,
-        var_from=_FIXTURE_VAR_FROM,
-        var_to=_FIXTURE_VAR_TO,
-        highload_channels=_FIXTURE_HIGHLOAD,
-        highperf_components=_FIXTURE_HIGHPERF,
-    )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deps import dsources
-from .model import Architecture, ChannelId, ComponentId, LevelId
+from .model import Architecture, ChannelId, ComponentId, LevelId, _post_order
 
 
 @dataclass(frozen=True)
@@ -142,27 +142,12 @@ def _atoms(a: Architecture, roots) -> dict[ComponentId, frozenset[ComponentId]]:
     """Leaves of the subcomponent tree below each root (a component itself
     when undecomposed), for the roots and every component below them.
 
-    Iterative post-order with a memo: each component is expanded once, so
-    shared subcomponents cost nothing extra and depth meets no recursion
-    limit (the relation is acyclic, which ``Architecture.create`` checks).
+    One pass over the post-order, so shared subcomponents cost nothing extra.
     """
     atoms: dict[ComponentId, frozenset[ComponentId]] = {}
-    for root in roots:
-        stack = [root]
-        while stack:
-            c = stack[-1]
-            if c in atoms:
-                stack.pop()
-                continue
-            subs = a.components[c].subcomponents
-            pending = [s for s in subs if s not in atoms]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            atoms[c] = (
-                frozenset().union(*(atoms[s] for s in subs)) if subs else frozenset((c,))
-            )
+    for c in _post_order(a.components, roots):
+        subs = a.components[c].subcomponents
+        atoms[c] = frozenset().union(*(atoms[s] for s in subs)) if subs else frozenset((c,))
     return atoms
 
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from archdeps.model import Architecture, case_study_fixture
+from archdeps import case_study_fixture
+from archdeps.model import Architecture
 
 
 @pytest.fixture(scope="session")

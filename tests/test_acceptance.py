@@ -9,8 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from archdeps import cli, deps, elementary, ingest, optimize, slicing, validate
-from archdeps.model import case_study_fixture
+from archdeps import case_study_fixture, cli, deps, elementary, ingest, optimize, slicing, validate
 
 from .conftest import (
     mutual_reachability_classes,

@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from archdeps import cli, ingest
-from archdeps.model import case_study_fixture
+from archdeps import case_study_fixture, cli, ingest
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +253,15 @@ def test_main_raises_system_exit(model_file, capsys):
     capsys.readouterr()
 
 
+def test_comma_in_identifier_exits_one(tmp_path, capsys):
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps({"components": {"A": {"out": ["a,b"]}}}), encoding="utf-8")
+    assert cli.run(["slice", str(path), "--level", "L0", "--channels", "a,b"]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "invalid channel identifier: 'a,b'" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "data,message",
     [
@@ -262,3 +277,74 @@ def test_unreadable_document_exits_one(tmp_path, capsys, data, message):
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1
+
+
+SYSTEM_S = json.loads(ingest.serialize(case_study_fixture()))
+NAMES = sorted(
+    set(SYSTEM_S["components"]) | set(SYSTEM_S["levels"]) | set(SYSTEM_S["chan_from_ch"])
+)
+LEVELS = st.sampled_from(["level0", "level1", "level2", "level3"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4) | st.sampled_from(NAMES),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_system_s(draw) -> bytes:
+    """System S with one to three values, at any depth, replaced or deleted."""
+    doc = copy.deepcopy(SYSTEM_S)
+    for _ in range(draw(st.integers(1, 3))):
+        by_depth: dict[int, list[tuple]] = {}
+        for path in _paths(doc):
+            by_depth.setdefault(len(path), []).append(path)
+        if not by_depth:
+            break
+        *parents, key = draw(st.sampled_from(by_depth[draw(st.sampled_from(sorted(by_depth)))]))
+        node = functools.reduce(operator.getitem, parents, doc)
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def subcommand_argv(draw) -> list[str]:
+    """Arguments after the file name, for any subcommand that reads one."""
+    level, name = draw(LEVELS), draw(st.sampled_from(NAMES))
+    channels = ",".join(draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3)))
+    args = draw(st.sampled_from([
+        ["validate"],
+        ["sources", "--level", level, "--component", name]
+        + draw(st.sampled_from([[], ["--direct"], ["--acc"], ["--dacc"]])),
+        ["slice", "--level", level, "--channels", channels],
+        ["elementary", "--level", level],
+        ["classify", "--level", level],
+        ["chan-deps", "--channel", name] + draw(st.sampled_from([[], ["--transitive"]])),
+        ["condense", "--level", level],
+        ["optimize", "--level", level],
+        ["check-refinement", "--fine", level, "--coarse", draw(LEVELS)],
+        ["export-dot", "--level", level],
+    ]))
+    return args + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.binary(max_size=64) | mutated_system_s(), argv=subcommand_argv())
+def test_cli_fuzz_exits_cleanly_with_one_line_errors(tmp_path_factory, data, argv):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run([argv[0], str(path)] + argv[1:])
+    assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_VIOLATION)
+    assert err.getvalue().count("\n") <= 1

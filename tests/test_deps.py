@@ -250,25 +250,6 @@ def test_chan_transitive_deps(arch):
     }
 
 
-def test_level_graph_level0(arch):
-    graph = deps.level_graph(arch, "level0")
-    assert graph.nodes == arch.level_components("level0")
-    assert set(graph.edges) == {
-        ("sA1", "sA2"), ("sA4", "sA2"), ("sA2", "sA3"), ("sA3", "sA4"),
-        ("sA4", "sA5"), ("sA6", "sA7"), ("sA7", "sA8"), ("sA9", "sA8"),
-        ("sA8", "sA9"),
-    }
-    assert list(graph.edges) == sorted(graph.edges)
-
-
-def test_level_graph_empty_level():
-    from archdeps.model import Architecture
-
-    a = Architecture.create(levels={"L0": []})
-    graph = deps.level_graph(a, "L0")
-    assert graph.nodes == frozenset() and graph.edges == ()
-
-
 def test_level2_graph_acyclic(arch):
     from archdeps.optimize import condense_level
 

@@ -3,7 +3,7 @@ from importlib import resources
 import pytest
 
 from archdeps import ingest
-from archdeps.model import Architecture, UnknownIdentifierError, case_study_fixture
+from archdeps.model import Architecture, UnknownIdentifierError
 
 EMPTY_DOC = """
 {
@@ -78,6 +78,17 @@ def test_export_dot_level0(arch):
     nodes = [line for line in dot.splitlines() if "->" not in line and '"sA' in line]
     assert len(nodes) == 9
     assert '"sA1" -> "sA2" [label="data2"];' in dot
+    edges = [
+        tuple(name.strip('" ') for name in line.split(" [")[0].split("->"))
+        for line in dot.splitlines()
+        if "->" in line
+    ]
+    assert set(edges) == {
+        ("sA1", "sA2"), ("sA4", "sA2"), ("sA2", "sA3"), ("sA3", "sA4"),
+        ("sA4", "sA5"), ("sA6", "sA7"), ("sA7", "sA8"), ("sA9", "sA8"),
+        ("sA8", "sA9"),
+    }
+    assert edges == sorted(edges)
 
 
 def test_export_dot_highload_edge_attrs(arch):

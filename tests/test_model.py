@@ -1,10 +1,11 @@
 import pytest
 
+from archdeps import case_study_fixture
 from archdeps.model import (
     Architecture,
+    InvalidIdentifierError,
     SubcomponentCycleError,
     UnknownIdentifierError,
-    case_study_fixture,
 )
 
 
@@ -74,8 +75,18 @@ def test_undeclared_reference_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "components",
+    [{"a,b": {}}, {"A": {"out": ["a,b"]}}, {"A": {"var": ["v,w"]}}],
+    ids=["component", "channel", "variable"],
+)
+def test_comma_in_identifier_rejected(components):
+    with pytest.raises(InvalidIdentifierError, match=","):
+        Architecture.create(components=components)
+
+
 def test_subcomponent_cycle_rejected():
-    with pytest.raises(SubcomponentCycleError):
+    with pytest.raises(SubcomponentCycleError) as info:
         Architecture.create(
             components={
                 "A": {"subcomp": ["B"]},
@@ -83,6 +94,14 @@ def test_subcomponent_cycle_rejected():
                 "C": {"subcomp": ["A"]},
             }
         )
+    assert str(info.value) == "subcomponent cycle: A -> B -> C -> A"
+
+
+def test_long_subcomponent_cycle_is_not_a_recursion_error():
+    n = 5000
+    components = {f"c{i}": {"subcomp": [f"c{(i + 1) % n}"]} for i in range(n)}
+    with pytest.raises(SubcomponentCycleError):
+        Architecture.create(components=components)
 
 
 def test_absent_table_entries_total():
