@@ -250,6 +250,25 @@ def test_chan_transitive_deps(arch):
     }
 
 
+def test_level_graph_level0(arch):
+    members = arch.level_components("level0")
+    index = arch.level_index("level0")
+    edges = sorted(
+        (z, c)
+        for x in index.producers
+        for z in index.producers[x]
+        for c in index.consumers.get(x, ())
+        if z != c
+    )
+    assert set(edges) == {
+        ("sA1", "sA2"), ("sA4", "sA2"), ("sA2", "sA3"), ("sA3", "sA4"),
+        ("sA4", "sA5"), ("sA6", "sA7"), ("sA7", "sA8"), ("sA9", "sA8"),
+        ("sA8", "sA9"),
+    }
+    assert set(edges) == {(z, c) for c in members for z in deps.dsources(arch, "level0", c)}
+    assert {n for edge in edges for n in edge} <= members
+
+
 def test_level2_graph_acyclic(arch):
     from archdeps.optimize import condense_level
 
