@@ -88,9 +88,8 @@ def is_not_dsource_for(
     """True when c (on the level) consumes no output of s."""
     members = a.level_components(level)
     outputs = a.outputs_of(s)
-    if c not in members:
-        return True
-    return not (outputs & a.inputs_of(c))
+    a.require_component(c)
+    return c not in members or not (outputs & a.components[c].inputs)
 
 
 def chan_direct_deps(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:

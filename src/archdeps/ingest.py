@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .model import Architecture, LevelId, ModelError
 
@@ -105,27 +106,52 @@ def case_study_fixture() -> Architecture:
     return parse(path.read_text(encoding="utf-8"))
 
 
+def _array(names, pad: str) -> str:
+    # One JSON array of sorted strings, an item per line, as json.dumps(indent=2)
+    # lays it out; pad is the newline and indent of the array's own line.
+    if not names:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(map(_quote, sorted(names))) + pad + "]"
+
+
+def _object(entries, pad: str) -> str:
+    # One JSON object from (key, member text) pairs already in key order.
+    if not entries:
+        return "{}"
+    inner = pad + "  "
+    return "{" + inner + ("," + inner).join(_quote(k) + ": " + v for k, v in entries) + pad + "}"
+
+
 def serialize(a: Architecture) -> str:
-    """Canonical document text: total tables, lexicographic order everywhere."""
-    doc = {
-        "components": {
-            name: {
-                "in": sorted(rec.inputs),
-                "out": sorted(rec.outputs),
-                "var": sorted(rec.vars),
-                "subcomp": sorted(rec.subcomponents),
-            }
-            for name, rec in sorted(a.components.items())
-        },
-        "levels": {lvl: sorted(members) for lvl, members in sorted(a.levels.items())},
-        "chan_from_ch": {c: sorted(deps) for c, deps in sorted(a.chan_from_ch.items())},
-        "chan_from_var": {c: sorted(deps) for c, deps in sorted(a.chan_from_var.items())},
-        "var_from": {v: sorted(deps) for v, deps in sorted(a.var_from.items())},
-        "var_to": {v: sorted(deps) for v, deps in sorted(a.var_to.items())},
-        "highload_channels": sorted(a.highload_channels),
-        "highperf_components": sorted(a.highperf_components),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical document text: total tables, lexicographic order everywhere.
+
+    The bytes are those of ``json.dumps(tables, indent=2, sort_keys=True)``,
+    written directly: with ``indent`` json.dumps runs its pure-Python encoder.
+    """
+    def table(mapping) -> str:
+        return _object([(k, _array(v, "\n    ")) for k, v in sorted(mapping.items())], "\n  ")
+
+    leaf = "\n      "
+    components = _object([
+        (name, _object([
+            ("in", _array(rec.inputs, leaf)),
+            ("out", _array(rec.outputs, leaf)),
+            ("subcomp", _array(rec.subcomponents, leaf)),
+            ("var", _array(rec.vars, leaf)),
+        ], "\n    "))
+        for name, rec in sorted(a.components.items())
+    ], "\n  ")
+    return _object([
+        ("chan_from_ch", table(a.chan_from_ch)),
+        ("chan_from_var", table(a.chan_from_var)),
+        ("components", components),
+        ("highload_channels", _array(a.highload_channels, "\n  ")),
+        ("highperf_components", _array(a.highperf_components, "\n  ")),
+        ("levels", table(a.levels)),
+        ("var_from", table(a.var_from)),
+        ("var_to", table(a.var_to)),
+    ], "\n") + "\n"
 
 
 def _dot_id(name: str) -> str:
@@ -140,13 +166,12 @@ def export_dot(a: Architecture, level: LevelId) -> str:
     edges. High-load channels are drawn thick and red; components requiring
     high-performance execution are filled light green.
     """
-    from .optimize import is_high_perf
-
     index = a.level_index(level)
+    marks = a.highperf_marks
     lines = [f"digraph {_dot_id(level)} {{"]
     for node in sorted(index.members):
         attrs = ""
-        if is_high_perf(a, node):
+        if node in marks:
             attrs = " [fillcolor=lightgreen,style=filled]"
         lines.append(f"  {_dot_id(node)}{attrs};")
     edges = sorted(

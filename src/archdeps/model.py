@@ -325,3 +325,19 @@ class Architecture:
         """The hierarchy index, built on first use and cached like the level indexes."""
         return HierarchyIndex.build(self)
 
+    @cached_property
+    def highperf_marks(self) -> frozenset[ComponentId]:
+        """The high-performance components and every component above one.
+
+        Built on first use, in one walk up the subcomponent edges from the
+        marked components, and cached like the indexes.
+        """
+        parents = _inverse((c, rec.subcomponents) for c, rec in self.components.items())
+        marked = set(self.highperf_components)
+        todo = list(marked)
+        while todo:
+            for p in parents.get(todo.pop(), ()):
+                if p not in marked:
+                    marked.add(p)
+                    todo.append(p)
+        return frozenset(marked)

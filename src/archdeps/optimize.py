@@ -30,7 +30,7 @@ def _canonical(
     a: Architecture, level: LevelId, raw_groups
 ) -> LevelPartition:
     groups = tuple(sorted((frozenset(g) for g in raw_groups), key=min))
-    marks = tuple(any(is_high_perf(a, c) for c in g) for g in groups)
+    marks = tuple(not a.highperf_marks.isdisjoint(g) for g in groups)
     return LevelPartition(source_level=level, groups=groups, high_perf=marks)
 
 
@@ -120,17 +120,7 @@ def highload_grouping(a: Architecture, level: LevelId) -> LevelPartition:
 def is_high_perf(a: Architecture, c: ComponentId) -> bool:
     """Marked directly, or containing (transitively) a marked subcomponent."""
     a.require_component(c)
-    todo = [c]
-    seen = set()
-    while todo:
-        node = todo.pop()
-        if node in a.highperf_components:
-            return True
-        if node in seen:
-            continue
-        seen.add(node)
-        todo.extend(a.subcomponents_of(node))
-    return False
+    return c in a.highperf_marks
 
 
 def is_highload_channel(a: Architecture, x: ChannelId) -> bool:

@@ -220,6 +220,11 @@ def test_unknown_identifiers(arch):
         deps.chan_direct_deps(arch, "dataX")
 
 
+def test_is_not_dsource_for_unknown_target(arch):
+    with pytest.raises(UnknownIdentifierError):
+        deps.is_not_dsource_for(arch, "level0", "sA4", "nonexistent")
+
+
 def test_is_not_dsource(arch):
     assert deps.is_not_dsource(arch, "level0", "sA5")
     assert deps.is_not_dsource(arch, "level1", "sA12")

@@ -1,9 +1,14 @@
+import json
 from importlib import resources
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from archdeps import ingest
+from archdeps import case_study_fixture, ingest
 from archdeps.model import Architecture, UnknownIdentifierError
+
+from .conftest import to_tables
 
 EMPTY_DOC = """
 {
@@ -71,6 +76,52 @@ def test_serialize_empty():
     text = ingest.serialize(Architecture.create())
     assert ingest.parse(text) == Architecture.create()
     assert '"components": {}' in text
+
+
+# Identifier characters the encoder escapes or passes through: quote,
+# backslash, control characters, non-ASCII inside and outside the BMP.
+names = st.text(st.sampled_from('ab"\\\x00\x01\x08\x1b\x7fé€λ\U0001f600'), min_size=1, max_size=4)
+
+
+@st.composite
+def architectures(draw):
+    comps = draw(st.lists(names, max_size=5, unique=True))
+    chans = draw(st.lists(names, max_size=5, unique=True))
+    variables = draw(st.lists(names, max_size=3, unique=True))
+
+    def some(pool):
+        return draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+
+    def table(keys, pool):
+        return {k: some(pool) for k in some(keys)}
+
+    return Architecture.create(
+        components={
+            c: {
+                "in": some(chans),
+                "out": some(chans),
+                "var": some(variables),
+                "subcomp": some(comps[i + 1:]),  # later names only: acyclic
+            }
+            for i, c in enumerate(comps)
+        },
+        levels={lvl: some(comps) for lvl in draw(st.lists(names, max_size=3, unique=True))},
+        # keyed by every channel and variable, so each drawn name is declared
+        chan_from_ch={x: some(chans) for x in chans},
+        chan_from_var=table(chans, variables),
+        var_from={v: some(chans) for v in variables},
+        var_to=table(variables, chans),
+        highload_channels=some(chans),
+        highperf_components=some(comps),
+    )
+
+
+@given(architectures())
+@example(Architecture.create())
+@example(case_study_fixture())
+def test_serialize_bytes_match_json_dumps(a):
+    expected = json.dumps(to_tables(a), indent=2, sort_keys=True) + "\n"
+    assert ingest.serialize(a) == expected
 
 
 def test_export_dot_level0(arch):

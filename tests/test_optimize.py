@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from archdeps import optimize
+from archdeps import ingest, optimize
 from archdeps.model import Architecture, UnknownIdentifierError
 
 from .conftest import mutated
@@ -192,3 +194,23 @@ def test_refinement_chain_5000_deep():
         levels={"fine": [f"c{depth}"], "coarse": ["c0"]},
     )
     assert optimize.verify_level_refinement(a, "fine", "coarse").ok
+
+
+def test_high_perf_marks_on_4000_deep_chain():
+    # Every component is on the level and has the marked leaf below it.
+    depth = 4000
+    components = {f"c{k:04d}": {"subcomp": [f"c{k + 1:04d}"]} for k in range(depth)}
+    components[f"c{depth:04d}"] = {}
+    a = Architecture.create(
+        components=components,
+        levels={"chain": list(components)},
+        highperf_components=[f"c{depth:04d}"],
+    )
+    for analysis in (ingest.export_dot, optimize.highload_grouping, optimize.condense_level):
+        start = time.perf_counter()
+        result = analysis(a, "chain")
+        assert time.perf_counter() - start < 1.0, analysis.__name__
+        if analysis is ingest.export_dot:
+            assert result.count("fillcolor=lightgreen") == depth + 1
+        else:
+            assert len(result.groups) == depth + 1 and all(result.high_perf)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archdeps import deps, elementary, ingest, optimize, slicing, validate
+from archdeps.model import Architecture
 
 from .conftest import (
     mutual_reachability_classes,
@@ -206,6 +207,41 @@ def test_condensation_quotient_is_acyclic(seed):
             if owner[s] != owner[t]
         }
         assert all(u != v for (u, v) in reachability_pairs(edges))
+
+
+def random_subcomponent_dag(rng: random.Random):
+    """Dense subcomponent DAG: most components share a subcomponent with
+    another, about half are on no level, a few are marked high-performance."""
+    comps = [f"c{i:02d}" for i in range(rng.randint(0, 14))]
+    return Architecture.create(
+        components={
+            c: {"subcomp": [d for d in comps[i + 1:] if rng.random() < 0.25]}
+            for i, c in enumerate(comps)
+        },
+        levels={"L": [c for c in comps if rng.random() < 0.5]},
+        highperf_components=[c for c in comps if rng.random() < 0.15],
+    )
+
+
+@given(seeds)
+def test_high_perf_matches_descendant_walk(seed):
+    a = random_subcomponent_dag(random.Random(seed))
+    expected = set()
+    for c in a.components:
+        below, todo = set(), [c]
+        while todo:
+            node = todo.pop()
+            if node not in below:
+                below.add(node)
+                todo.extend(a.components[node].subcomponents)
+        if below & a.highperf_components:
+            expected.add(c)
+    for c in a.components:
+        assert optimize.is_high_perf(a, c) == (c in expected)
+    for part in (optimize.condense_level(a, "L"), optimize.highload_grouping(a, "L")):
+        assert part.high_perf == tuple(bool(g & expected) for g in part.groups)
+    dot = ingest.export_dot(a, "L")
+    assert {c for c in a.levels["L"] if f'"{c}" [fillcolor' in dot} == expected & a.levels["L"]
 
 
 @given(seeds)
