@@ -15,6 +15,10 @@ EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 EXIT_USAGE = 64
 
+# What a subcommand returns: JSON payload (None when the text is the answer
+# in both modes), text output and exit code.
+_Result = tuple[dict | None, str, int]
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
@@ -48,23 +52,19 @@ def _channels_arg(raw: str) -> list[str]:
     return [x for x in raw.split(",") if x]
 
 
-def _partition_json(part: optimize.LevelPartition) -> dict:
-    return {
+def _partition(part: optimize.LevelPartition) -> _Result:
+    groups = [(sorted(g), mark) for g, mark in zip(part.groups, part.high_perf)]
+    payload = {
         "level": part.source_level,
-        "groups": [
-            {"members": sorted(g), "high_perf": mark}
-            for g, mark in zip(part.groups, part.high_perf)
-        ],
+        "groups": [{"members": m, "high_perf": mark} for m, mark in groups],
     }
+    text = "".join(" ".join(m) + ("  [high-perf]" if mark else "") + "\n" for m, mark in groups)
+    return payload, text, EXIT_OK
 
 
-def _print_partition(part: optimize.LevelPartition, as_json: bool) -> None:
-    if as_json:
-        _emit(_dump_json(_partition_json(part)), None)
-        return
-    for group, mark in zip(part.groups, part.high_perf):
-        suffix = "  [high-perf]" if mark else ""
-        print(" ".join(sorted(group)) + suffix)
+def _sorted_names(key: str, names) -> _Result:
+    names = sorted(names)
+    return {key: names}, " ".join(names) + "\n", EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        if name != "fixture":
+            p.add_argument("file")
         return p
 
-    p = add("validate", help="run all well-formedness predicates")
-    p.add_argument("file")
+    add("validate", help="run all well-formedness predicates")
 
     p = add("sources", help="dependency set of one component on a level")
-    p.add_argument("file")
     p.add_argument("--level", required=True)
     p.add_argument("--component", required=True)
     mode = p.add_mutually_exclusive_group()
@@ -92,38 +92,30 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--dacc", action="store_true", help="direct accessors")
 
     p = add("slice", help="minimal component set for a channel property")
-    p.add_argument("file")
     p.add_argument("--level", required=True)
     p.add_argument("--channels", required=True, help="comma-separated, no spaces")
 
     p = add("elementary", help="elementary classification of a level")
-    p.add_argument("file")
     p.add_argument("--level", required=True)
 
     p = add("classify", help="classify every channel on a level")
-    p.add_argument("file")
     p.add_argument("--level", required=True)
 
     p = add("chan-deps", help="channel dependency set")
-    p.add_argument("file")
     p.add_argument("--channel", required=True)
     p.add_argument("--transitive", action="store_true")
 
     p = add("condense", help="strongly-connected-component partition of a level")
-    p.add_argument("file")
     p.add_argument("--level", required=True)
 
     p = add("optimize", help="high-load channel grouping of a level")
-    p.add_argument("file")
     p.add_argument("--level", required=True)
 
     p = add("check-refinement", help="check a coarse level refines a fine one")
-    p.add_argument("file")
     p.add_argument("--fine", required=True)
     p.add_argument("--coarse", required=True)
 
     p = add("export-dot", help="Graphviz digraph of a level")
-    p.add_argument("file")
     p.add_argument("--level", required=True)
     p.add_argument("-o", "--output")
 
@@ -133,154 +125,102 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> _Result:
     report = validate.validate_all(_load(args.file))
-    if args.json:
-        _emit(
-            _dump_json(
-                {
-                    "all_hold": report.all_hold,
-                    "predicates": {
-                        name: {
-                            "holds": v.holds,
-                            "witnesses": [
-                                {"entities": list(w.entities), "reason": w.reason}
-                                for w in v.witnesses
-                            ],
-                        }
-                        for name, v in report.verdicts.items()
-                    },
-                }
-            ),
-            None,
-        )
-    else:
-        for name, verdict in report.verdicts.items():
-            print(f"{name}: {'holds' if verdict.holds else 'violated'}")
-            for w in verdict.witnesses:
-                print(f"  {', '.join(w.entities)}: {w.reason}")
-    return EXIT_OK if report.all_hold else EXIT_VIOLATION
+    payload = {
+        "all_hold": report.all_hold,
+        "predicates": {
+            name: {
+                "holds": v.holds,
+                "witnesses": [
+                    {"entities": list(w.entities), "reason": w.reason}
+                    for w in v.witnesses
+                ],
+            }
+            for name, v in report.verdicts.items()
+        },
+    }
+    text = "".join(
+        f"{name}: {'holds' if v.holds else 'violated'}\n"
+        + "".join(f"  {', '.join(w.entities)}: {w.reason}\n" for w in v.witnesses)
+        for name, v in report.verdicts.items()
+    )
+    return payload, text, EXIT_OK if report.all_hold else EXIT_VIOLATION
 
 
-def _cmd_sources(args) -> int:
-    a = _load(args.file)
-    if args.direct:
-        result = deps.dsources(a, args.level, args.component)
-    elif args.acc:
-        result = deps.acc(a, args.level, args.component)
-    elif args.dacc:
-        result = deps.dacc(a, args.level, args.component)
-    else:
-        result = deps.sources(a, args.level, args.component)
-    if args.json:
-        _emit(_dump_json({"components": sorted(result)}), None)
-    else:
-        print(" ".join(sorted(result)))
-    return EXIT_OK
+_SOURCES = {"direct": deps.dsources, "acc": deps.acc, "dacc": deps.dacc}
 
 
-def _cmd_slice(args) -> int:
-    a = _load(args.file)
-    report = slicing.slice_report(a, args.level, _channels_arg(args.channels))
-    if args.json:
-        _emit(
-            _dump_json(
-                {
-                    "level": report.level,
-                    "property_channels": sorted(report.property_channels),
-                    "out_components": sorted(report.out_components),
-                    "min_components": sorted(report.min_components),
-                    "no_irrelevant": report.no_irrelevant,
-                    "all_needed": report.all_needed,
-                    "system_inputs_in_property": sorted(report.system_inputs_in_property),
-                }
-            ),
-            None,
-        )
-    else:
-        print(f"level: {report.level}")
-        print(f"channels: {' '.join(sorted(report.property_channels))}")
-        print(f"out components: {' '.join(sorted(report.out_components))}")
-        print(f"min components: {' '.join(sorted(report.min_components))}")
-        print(f"no irrelevant channels: {report.no_irrelevant}")
-        print(f"all needed inputs listed: {report.all_needed}")
-        print(
-            "system inputs in property: "
-            + " ".join(sorted(report.system_inputs_in_property))
-        )
+def _cmd_sources(args) -> _Result:
+    query = next((f for flag, f in _SOURCES.items() if getattr(args, flag)), deps.sources)
+    return _sorted_names("components", query(_load(args.file), args.level, args.component))
+
+
+def _cmd_slice(args) -> _Result:
+    report = slicing.slice_report(_load(args.file), args.level, _channels_arg(args.channels))
+    rows = (  # JSON key, text label, value
+        ("level", "level", report.level),
+        ("property_channels", "channels", sorted(report.property_channels)),
+        ("out_components", "out components", sorted(report.out_components)),
+        ("min_components", "min components", sorted(report.min_components)),
+        ("no_irrelevant", "no irrelevant channels", report.no_irrelevant),
+        ("all_needed", "all needed inputs listed", report.all_needed),
+        ("system_inputs_in_property", "system inputs in property",
+         sorted(report.system_inputs_in_property)),
+    )
+    text = "".join(
+        f"{label}: {' '.join(v) if isinstance(v, list) else v}\n" for _, label, v in rows
+    )
     ok = report.no_irrelevant and report.all_needed
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return {key: v for key, _, v in rows}, text, EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _cmd_elementary(args) -> int:
+def _cmd_elementary(args) -> _Result:
     report = elementary.elementary_report(_load(args.file), args.level)
-    if args.json:
-        _emit(_dump_json(report), None)
-    else:
-        for comp, verdict in report.items():
-            print(f"{comp}: {'elementary' if verdict else 'not elementary'}")
-    return EXIT_OK
+    text = "".join(
+        f"{comp}: {'elementary' if verdict else 'not elementary'}\n"
+        for comp, verdict in report.items()
+    )
+    return report, text, EXIT_OK
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> _Result:
     a = _load(args.file)
     a.require_level(args.level)
     result = {
         x: validate.classify_channel(a, x, args.level).value
         for x in sorted(a.chan_from_ch)
     }
-    if args.json:
-        _emit(_dump_json(result), None)
-    else:
-        for chan, kind in result.items():
-            print(f"{chan}: {kind}")
-    return EXIT_OK
+    return result, "".join(f"{chan}: {kind}\n" for chan, kind in result.items()), EXIT_OK
 
 
-def _cmd_chan_deps(args) -> int:
-    a = _load(args.file)
-    if args.transitive:
-        result = deps.chan_transitive_deps(a, args.channel)
-    else:
-        result = deps.chan_direct_deps(a, args.channel)
-    if args.json:
-        _emit(_dump_json({"channels": sorted(result)}), None)
-    else:
-        print(" ".join(sorted(result)))
-    return EXIT_OK
+def _cmd_chan_deps(args) -> _Result:
+    query = deps.chan_transitive_deps if args.transitive else deps.chan_direct_deps
+    return _sorted_names("channels", query(_load(args.file), args.channel))
 
 
-def _cmd_condense(args) -> int:
-    _print_partition(optimize.condense_level(_load(args.file), args.level), args.json)
-    return EXIT_OK
+def _cmd_condense(args) -> _Result:
+    return _partition(optimize.condense_level(_load(args.file), args.level))
 
 
-def _cmd_optimize(args) -> int:
-    _print_partition(
-        optimize.highload_grouping(_load(args.file), args.level), args.json
-    )
-    return EXIT_OK
+def _cmd_optimize(args) -> _Result:
+    return _partition(optimize.highload_grouping(_load(args.file), args.level))
 
 
-def _cmd_check_refinement(args) -> int:
+def _cmd_check_refinement(args) -> _Result:
     report = optimize.verify_level_refinement(_load(args.file), args.fine, args.coarse)
-    if args.json:
-        _emit(_dump_json({"ok": report.ok, "witnesses": list(report.witnesses)}), None)
-    else:
-        print("ok" if report.ok else "violated")
-        for w in report.witnesses:
-            print(f"  {w}")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    reasons = [w.reason for w in report.witnesses]
+    text = ("ok" if report.ok else "violated") + "\n" + "".join(f"  {r}\n" for r in reasons)
+    payload = {"ok": report.ok, "witnesses": reasons}
+    return payload, text, EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _cmd_export_dot(args) -> int:
-    _emit(ingest.export_dot(_load(args.file), args.level), args.output)
-    return EXIT_OK
+def _cmd_export_dot(args) -> _Result:
+    return None, ingest.export_dot(_load(args.file), args.level), EXIT_OK
 
 
-def _cmd_fixture(args) -> int:
-    _emit(ingest.serialize(ingest.case_study_fixture()), args.output)
-    return EXIT_OK
+def _cmd_fixture(args) -> _Result:
+    return None, ingest.serialize(ingest.case_study_fixture()), EXIT_OK
 
 
 _COMMANDS = {
@@ -299,13 +239,18 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Parse ``argv``, run one subcommand and write its answer.
+
+    This is the one place that picks ``--json`` or text output.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ModelError as exc:
-        print(f"archdeps: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+        payload, text, code = _COMMANDS[args.command](args)
+        if args.json and payload is not None:
+            text = _dump_json(payload)
+        _emit(text, getattr(args, "output", None))
+        return code
+    except (ModelError, OSError) as exc:
         print(f"archdeps: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .deps import dsources
 from .model import Architecture, ChannelId, ComponentId, LevelId, _post_order
+from .validate import Witness
 
 
 @dataclass(frozen=True)
@@ -22,8 +23,17 @@ class LevelPartition:
 
 @dataclass(frozen=True)
 class RefinementReport:
+    """Outcome of ``verify_level_refinement``: ``ok`` when it has no witnesses.
+
+    Each witness names, in its reason's order, the components the reason
+    mentions: ``(c, *sorted(leftover))`` when coarse ``c`` covers no fine
+    component for the leftover leaves, ``(f, first, c)`` when fine ``f`` is
+    covered by both ``first`` and ``c``, and ``(f,)`` when fine ``f`` is
+    covered by nothing.
+    """
+
     ok: bool
-    witnesses: tuple[str, ...] = ()
+    witnesses: tuple[Witness, ...] = ()
 
 
 def _canonical(
@@ -148,7 +158,10 @@ def verify_level_refinement(
 
     Each coarse component is flattened (through the subcomponent relation)
     to the fine-level components it covers; those member sets must partition
-    the fine level exactly.
+    the fine level exactly. Witnesses come per coarse component in name
+    order (its incomplete cover, then its double covers by fine name),
+    then the uncovered fine components by name; see ``RefinementReport``
+    for the entities each names.
     """
     fine_members = a.level_components(fine)
     coarse_members = sorted(a.level_components(coarse))
@@ -160,7 +173,7 @@ def verify_level_refinement(
         for t in atoms[f]:
             fine_by_atom.setdefault(t, []).append(f)
 
-    witnesses: list[str] = []
+    witnesses: list[Witness] = []
     covered: dict[ComponentId, ComponentId] = {}
     for c in coarse_members:
         below = atoms[c]
@@ -168,15 +181,17 @@ def verify_level_refinement(
         group = {f for f in candidates if atoms[f] <= below}
         leftover = below - frozenset().union(*(atoms[f] for f in group)) if group else below
         if leftover:
-            witnesses.append(
-                f"{c} covers no fine-level component for: " + ", ".join(sorted(leftover))
-            )
+            names = sorted(leftover)
+            witnesses.append(Witness(
+                (c, *names), f"{c} covers no fine-level component for: " + ", ".join(names)
+            ))
         for f in sorted(group):
             if f in covered:
-                witnesses.append(f"{f} covered by both {covered[f]} and {c}")
+                witnesses.append(Witness(
+                    (f, covered[f], c), f"{f} covered by both {covered[f]} and {c}"
+                ))
             else:
                 covered[f] = c
-    uncovered = sorted(fine_members - set(covered))
-    for f in uncovered:
-        witnesses.append(f"{f} is covered by no component on {coarse}")
+    for f in sorted(fine_members - set(covered)):
+        witnesses.append(Witness((f,), f"{f} is covered by no component on {coarse}"))
     return RefinementReport(ok=not witnesses, witnesses=tuple(witnesses))

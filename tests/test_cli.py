@@ -348,3 +348,103 @@ def test_cli_fuzz_exits_cleanly_with_one_line_errors(tmp_path_factory, data, arg
         code = cli.run([argv[0], str(path)] + argv[1:])
     assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_VIOLATION)
     assert err.getvalue().count("\n") <= 1
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+
+def _pairs(text: str) -> list[tuple[str, str]]:
+    return [tuple(line.split(": ", 1)) for line in text.splitlines()]
+
+
+def _partition_text(text: str, level: str) -> dict:
+    groups = []
+    for line in text.splitlines():
+        members, mark, _ = line.partition("  [high-perf]")
+        groups.append({"members": members.split(), "high_perf": bool(mark)})
+    return {"level": level, "groups": groups}
+
+
+def _validate_text(text: str) -> dict:
+    predicates = {}
+    for line in text.splitlines():
+        if line.startswith("  "):
+            entities, reason = line[2:].split(": ", 1)
+            witness = {"entities": entities.split(", "), "reason": reason}
+            predicates[name]["witnesses"].append(witness)
+        else:
+            name, verdict = line.split(": ")
+            predicates[name] = {"holds": verdict == "holds", "witnesses": []}
+    return {"all_hold": all(p["holds"] for p in predicates.values()), "predicates": predicates}
+
+
+_SLICE_KEYS = {
+    "level": "level", "channels": "property_channels", "out components": "out_components",
+    "min components": "min_components", "no irrelevant channels": "no_irrelevant",
+    "all needed inputs listed": "all_needed", "system inputs in property": "system_inputs_in_property",
+}
+
+
+def _slice_text(text: str) -> dict:
+    parsed = {}
+    for label, value in _pairs(text):
+        key = _SLICE_KEYS[label]
+        if key == "level":
+            parsed[key] = value
+        elif key in ("no_irrelevant", "all_needed"):
+            parsed[key] = {"True": True, "False": False}[value]
+        else:
+            parsed[key] = value.split()
+    return parsed
+
+
+def _refinement_text(text: str) -> dict:
+    verdict, *reasons = text.splitlines()
+    assert verdict in ("ok", "violated") and all(r.startswith("  ") for r in reasons)
+    return {"ok": verdict == "ok", "witnesses": [r[2:] for r in reasons]}
+
+
+def _system_s_calls(path: str):
+    """(argv, parser of its text output) for every subcommand on every level."""
+    a = case_study_fixture()
+    yield ["validate", path], _validate_text
+    for x in sorted(a.chan_from_ch):
+        for mode in ([], ["--transitive"]):
+            yield ["chan-deps", path, "--channel", x] + mode, lambda t: {"channels": t.split()}
+    for level in sorted(a.levels):
+        for c in sorted(a.levels[level]):
+            for mode in ([], ["--direct"], ["--acc"], ["--dacc"]):
+                argv = ["sources", path, "--level", level, "--component", c] + mode
+                yield argv, lambda t: {"components": t.split()}
+        outputs = [sorted(a.components[c].outputs) for c in sorted(a.levels[level])]
+        for channels in outputs + [sorted(set().union(*outputs)), ["data10", "data13"]]:
+            yield ["slice", path, "--level", level, "--channels", ",".join(channels)], _slice_text
+        yield ["elementary", path, "--level", level], lambda t: {
+            c: verdict == "elementary" for c, verdict in _pairs(t)
+        }
+        yield ["classify", path, "--level", level], lambda t: dict(_pairs(t))
+        for cmd in ("condense", "optimize"):
+            yield [cmd, path, "--level", level], functools.partial(_partition_text, level=level)
+        for coarse in sorted(a.levels):
+            yield ["check-refinement", path, "--fine", level, "--coarse", coarse], _refinement_text
+        yield ["export-dot", path, "--level", level], None
+    yield ["fixture"], None
+
+
+def test_text_and_json_agree_on_system_s(model_file):
+    seen = set()
+    for argv, parse in _system_s_calls(model_file):
+        text_code, text = _run(argv)
+        json_code, payload = _run(argv + ["--json"])
+        assert text_code == json_code, argv
+        if parse is None:  # DOT and the canonical document in both modes
+            assert text == payload, argv
+        else:
+            assert parse(text) == json.loads(payload), argv
+        seen.add((argv[0], text_code))
+    assert {cmd for cmd, _ in seen} == set(cli._COMMANDS)
+    assert {("check-refinement", cli.EXIT_VIOLATION), ("slice", cli.EXIT_VIOLATION)} <= seen

@@ -157,14 +157,17 @@ def test_refinement_violated_by_dropped_subcomponent(arch):
     bad = mutated(arch, lambda t: t["components"]["sS6"]["subcomp"].remove("sA22"))
     report = optimize.verify_level_refinement(bad, "level1", "level2")
     assert not report.ok
-    assert any("sA22" in w for w in report.witnesses)
+    assert any("sA22" in w.entities for w in report.witnesses)
 
 
 def test_refinement_double_coverage(arch):
     bad = mutated(arch, lambda t: t["components"]["sS5"]["subcomp"].append("sA22"))
     report = optimize.verify_level_refinement(bad, "level1", "level2")
     assert not report.ok
-    assert any("both" in w for w in report.witnesses)
+    assert any(
+        w.entities == ("sA22", "sS5", "sS6") and w.reason == "sA22 covered by both sS5 and sS6"
+        for w in report.witnesses
+    )
 
 
 def test_refinement_identity_level(arch):

@@ -1,3 +1,4 @@
+import functools
 import random
 
 from hypothesis import given, settings
@@ -242,6 +243,48 @@ def test_high_perf_matches_descendant_walk(seed):
         assert part.high_perf == tuple(bool(g & expected) for g in part.groups)
     dot = ingest.export_dot(a, "L")
     assert {c for c in a.levels["L"] if f'"{c}" [fillcolor' in dot} == expected & a.levels["L"]
+
+
+def random_refinement(rng: random.Random):
+    """A random subcomponent DAG with a fine and a coarse level. The coarse
+    level is sometimes the fine one itself, so complete, incomplete, double
+    and missing covers all occur."""
+    tables = to_tables(random_subcomponent_dag(rng))
+    comps = sorted(tables["components"])
+    fine = [c for c in comps if rng.random() < 0.5]
+    coarse = fine if rng.random() < 0.3 else [c for c in comps if rng.random() < 0.3]
+    tables["levels"] = {"fine": fine, "coarse": coarse}
+    return rebuild(tables)
+
+
+@given(seeds)
+def test_refinement_witnesses_match_definition(seed):
+    a = random_refinement(random.Random(seed))
+
+    @functools.cache
+    def leaves(c):
+        subs = a.components[c].subcomponents
+        return frozenset().union(*map(leaves, subs)) if subs else frozenset((c,))
+
+    fine = sorted(a.levels["fine"])
+    expected, covered = [], {}
+    for c in sorted(a.levels["coarse"]):
+        group = [f for f in fine if leaves(f) <= leaves(c)]
+        leftover = sorted(leaves(c).difference(*map(leaves, group)))
+        if leftover:
+            reason = f"{c} covers no fine-level component for: " + ", ".join(leftover)
+            expected.append(((c, *leftover), reason))
+        for f in group:
+            if f in covered:
+                expected.append(((f, covered[f], c), f"{f} covered by both {covered[f]} and {c}"))
+            else:
+                covered[f] = c
+    expected += [((f,), f"{f} is covered by no component on coarse") for f in fine if f not in covered]
+
+    report = optimize.verify_level_refinement(a, "fine", "coarse")
+    assert all(type(w) is validate.Witness for w in report.witnesses)
+    assert [(w.entities, w.reason) for w in report.witnesses] == expected
+    assert report.ok == (not expected)
 
 
 @given(seeds)
