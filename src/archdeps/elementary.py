@@ -29,12 +29,17 @@ def is_elementary(a: Architecture, c: ComponentId) -> bool:
     """Single output, or all output pairs share correlated variable deps.
 
     A component with no outputs counts as elementary (vacuous condition).
+    An output's correlation set depends only on its variable deps, so one
+    set is built per distinct deps set and the distinct sets are intersected
+    pairwise, each also with itself for the non-empty check. The worst case
+    stays quadratic in the number of distinct sets.
     """
     outputs = a.outputs_of(c)
     if len(outputs) == 1:
         return True
-    corr = {x: out_set_correlated(a, x) for x in outputs}
-    return all(corr[x] & corr[y] for x in outputs for y in outputs)
+    one_per_deps = {a.chan_from_var[x]: x for x in outputs}
+    corr = list({out_set_correlated(a, x) for x in one_per_deps.values()})
+    return all(p & q for i, p in enumerate(corr) for q in corr[i:])
 
 
 def elementary_report(

@@ -8,16 +8,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .model import Architecture, LevelId, ModelError
 
-_TOP_LEVEL = (
-    "components",
-    "levels",
-    "chan_from_ch",
-    "chan_from_var",
-    "var_from",
-    "var_to",
-    "highload_channels",
-    "highperf_components",
-)
+_TABLES = ("levels", "chan_from_ch", "chan_from_var", "var_from", "var_to")
+_ARRAYS = ("highload_channels", "highperf_components")
+_TOP_LEVEL = ("components", *_TABLES, *_ARRAYS)  # Architecture.create's parameters
 
 _COMPONENT_MEMBERS = ("in", "out", "var", "subcomp")
 
@@ -26,27 +19,26 @@ class DocumentError(ModelError):
     """The document text is not a well-formed architecture description."""
 
 
-def _expect_string_array(value: object, where: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+def _expect_string_array(value: object, where: str) -> None:
+    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise DocumentError(f"{where} must be an array of identifier strings")
-    return value
 
 
-def _expect_table(value: object, where: str) -> dict[str, list[str]]:
+def _expect_table(value: object, where: str) -> None:
     if not isinstance(value, dict):
         raise DocumentError(f"{where} must be an object")
-    return {
-        key: _expect_string_array(members, f"{where}[{key}]")
-        for key, members in value.items()
-    }
+    for key, members in value.items():
+        _expect_string_array(members, f"{where}[{key}]")
 
 
 def parse(doc: str) -> Architecture:
     """Parse an architecture description document.
 
-    Raises DocumentError on malformed text (with position for syntax
-    errors), UnknownIdentifierError and SubcomponentCycleError per the
-    model's closure rules.
+    Checks the shape of the decoded JSON in place, then hands it to
+    ``Architecture.create``, which fills in what is missing and checks names,
+    references and the subcomponent relation. Raises DocumentError on
+    malformed text (with position for syntax errors), and the model's
+    InvalidIdentifierError, UnknownIdentifierError and SubcomponentCycleError.
     """
     try:
         raw = json.loads(doc)
@@ -64,11 +56,10 @@ def parse(doc: str) -> Architecture:
     if unknown:
         raise DocumentError(f"unknown top-level members: {', '.join(unknown)}")
 
-    raw_components = raw.get("components", {})
-    if not isinstance(raw_components, dict):
+    components = raw.get("components", {})
+    if not isinstance(components, dict):
         raise DocumentError("components must be an object")
-    components: dict[str, dict[str, list[str]]] = {}
-    for name, spec in raw_components.items():
+    for name, spec in components.items():
         if not isinstance(spec, dict):
             raise DocumentError(f"components[{name}] must be an object")
         extra = sorted(set(spec) - set(_COMPONENT_MEMBERS))
@@ -76,25 +67,13 @@ def parse(doc: str) -> Architecture:
             raise DocumentError(
                 f"components[{name}] has unknown members: {', '.join(extra)}"
             )
-        components[name] = {
-            member: _expect_string_array(spec.get(member, []), f"components[{name}].{member}")
-            for member in _COMPONENT_MEMBERS
-        }
-
-    return Architecture.create(
-        components=components,
-        levels=_expect_table(raw.get("levels", {}), "levels"),
-        chan_from_ch=_expect_table(raw.get("chan_from_ch", {}), "chan_from_ch"),
-        chan_from_var=_expect_table(raw.get("chan_from_var", {}), "chan_from_var"),
-        var_from=_expect_table(raw.get("var_from", {}), "var_from"),
-        var_to=_expect_table(raw.get("var_to", {}), "var_to"),
-        highload_channels=_expect_string_array(
-            raw.get("highload_channels", []), "highload_channels"
-        ),
-        highperf_components=_expect_string_array(
-            raw.get("highperf_components", []), "highperf_components"
-        ),
-    )
+        for member in _COMPONENT_MEMBERS:
+            _expect_string_array(spec.get(member, []), f"components[{name}].{member}")
+    for key in _TABLES:
+        _expect_table(raw.get(key, {}), key)
+    for key in _ARRAYS:
+        _expect_string_array(raw.get(key, []), key)
+    return Architecture.create(**raw)
 
 
 @lru_cache(maxsize=1)

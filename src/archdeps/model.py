@@ -7,6 +7,7 @@ Architecture is constructed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -44,9 +45,7 @@ class ComponentRecord:
     subcomponents: frozenset[ComponentId]
 
 
-def _check_token(name: str, kind: str) -> None:
-    if not isinstance(name, str) or not name or "," in name or any(c.isspace() for c in name):
-        raise InvalidIdentifierError(f"invalid {kind} identifier: {name!r}")
+_SEPARATOR = re.compile(r"[\s,]")  # no identifier holds one; \s is what str.isspace accepts
 
 
 def _inverse(pairs: Iterable[tuple[str, Iterable[str]]]) -> dict[str, tuple[str, ...]]:
@@ -192,6 +191,8 @@ class Architecture:
         highload_channels: Iterable[ChannelId] = (),
         highperf_components: Iterable[ComponentId] = (),
     ) -> "Architecture":
+        """Fill in missing members and tables, check every name, reference
+        and the subcomponent relation, and freeze the tables in name order."""
         components = components or {}
         levels = levels or {}
         chan_from_ch = chan_from_ch or {}
@@ -199,15 +200,15 @@ class Architecture:
         var_from = var_from or {}
         var_to = var_to or {}
 
-        records: dict[ComponentId, ComponentRecord] = {}
-        for name, spec in components.items():
-            _check_token(name, "component")
-            records[name] = ComponentRecord(
+        records = {
+            name: ComponentRecord(
                 inputs=frozenset(spec.get("in", ())),
                 outputs=frozenset(spec.get("out", ())),
                 vars=frozenset(spec.get("var", ())),
                 subcomponents=frozenset(spec.get("subcomp", ())),
             )
+            for name, spec in components.items()
+        }
 
         comp_universe = frozenset(records)
         chans = set(chan_from_ch)
@@ -221,23 +222,21 @@ class Architecture:
         chan_universe = frozenset(chans)
         var_universe = frozenset(variables)
 
-        for name in chan_universe:
-            _check_token(name, "channel")
-        for name in var_universe:
-            _check_token(name, "variable")
-        for name in levels:
-            _check_token(name, "level")
+        for kind, names in (
+            ("component", records), ("channel", chan_universe),
+            ("variable", var_universe), ("level", levels),
+        ):
+            for name in names:
+                if not isinstance(name, str) or not name or _SEPARATOR.search(name):
+                    raise InvalidIdentifierError(f"invalid {kind} identifier: {name!r}")
 
         def check_refs(kind: str, referenced: Iterable[str], universe: frozenset[str], where: str) -> None:
-            unknown = sorted(set(referenced) - universe)
-            if unknown:
-                raise UnknownIdentifierError(
-                    f"undeclared {kind} {', '.join(unknown)} referenced in {where}"
-                )
+            if not universe.issuperset(referenced):
+                unknown = ", ".join(sorted(set(referenced) - universe))
+                raise UnknownIdentifierError(f"undeclared {kind} {unknown} referenced in {where}")
 
         for name, rec in records.items():
             check_refs("component", rec.subcomponents, comp_universe, f"subcomp of {name}")
-            check_refs("variable", rec.vars, var_universe, f"var of {name}")
         for lvl, members in levels.items():
             check_refs("component", members, comp_universe, f"level {lvl}")
         for chan, dep in chan_from_ch.items():

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .deps import dsources
 from .model import Architecture, ChannelId, ComponentId, LevelId, _post_order
-from .validate import Witness
+from .validate import Verdict, Witness
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,7 @@ class LevelPartition:
     high_perf: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(Verdict):
     """Outcome of ``verify_level_refinement``: ``ok`` when it has no witnesses.
 
     Each witness names, in its reason's order, the components the reason
@@ -32,8 +31,7 @@ class RefinementReport:
     covered by nothing.
     """
 
-    ok: bool
-    witnesses: tuple[Witness, ...] = ()
+    ok = Verdict.holds
 
 
 def _canonical(
@@ -194,4 +192,4 @@ def verify_level_refinement(
                 covered[f] = c
     for f in sorted(fine_members - set(covered)):
         witnesses.append(Witness((f,), f"{f} is covered by no component on {coarse}"))
-    return RefinementReport(ok=not witnesses, witnesses=tuple(witnesses))
+    return RefinementReport(tuple(witnesses))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .model import Architecture, ChannelId, ComponentId, LevelId
 
@@ -31,8 +31,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
-    holds: bool
     witnesses: tuple[Witness, ...] = ()
+
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
 
 @dataclass(frozen=True)
@@ -244,44 +247,26 @@ def classify_channel(a: Architecture, x: ChannelId, level: LevelId) -> ChannelCl
     return ChannelClass.UNUSED
 
 
-PREDICATE_NAMES = (
-    "composition_diff_levels",
-    "composition_var",
-    "decomposition_var",
-    "composition_out",
-    "composition_subcomp",
-    "all_components_used",
-    "outfromch_correct",
-    "outfromv_correct1",
-    "outfromv_correct2",
-    "outfromv_varto_consistent",
-    "varfrom_correct",
-    "varto_correct",
-    "var_useful",
-)
+# Every predicate once, in report order, as its witnesses over the whole document.
+_PREDICATES: dict[str, Callable[[Architecture], Witnesses]] = {
+    "composition_diff_levels": lambda a: _composition_diff_levels(a, sorted(a.components)),
+    "composition_var": lambda a: _composition_var(a, sorted(a.components)),
+    "decomposition_var": lambda a: _decomposition_var(a, sorted(a.components)),
+    "composition_out": lambda a: _composition_out(a, sorted(a.chan_from_ch)),
+    "composition_subcomp": lambda a: _composition_subcomp(a, sorted(a.components)),
+    "all_components_used": lambda a: _unused_components(a, sorted(a.components)),
+    "outfromch_correct": lambda a: _outfromch(a, sorted(a.chan_from_ch)),
+    "outfromv_correct1": lambda a: _outfromv1(a, sorted(a.chan_from_ch)),
+    "outfromv_correct2": lambda a: _outfromv2(a, sorted(a.chan_from_ch)),
+    "outfromv_varto_consistent": _varto_mismatches,
+    "varfrom_correct": lambda a: _fine_var_escapes(a, None, "inputs"),
+    "varto_correct": lambda a: _fine_var_escapes(a, None, "outputs"),
+    "var_useful": _useless_vars,
+}
+
+PREDICATE_NAMES = tuple(_PREDICATES)
 
 
 def validate_all(a: Architecture) -> ValidationReport:
     """Evaluate every well-formedness predicate with full witness lists."""
-    comps = sorted(a.components)
-    chans = sorted(a.chan_from_ch)
-    found = {
-        "composition_diff_levels": _composition_diff_levels(a, comps),
-        "composition_var": _composition_var(a, comps),
-        "decomposition_var": _decomposition_var(a, comps),
-        "composition_out": _composition_out(a, chans),
-        "composition_subcomp": _composition_subcomp(a, comps),
-        "all_components_used": _unused_components(a, comps),
-        "outfromch_correct": _outfromch(a, chans),
-        "outfromv_correct1": _outfromv1(a, chans),
-        "outfromv_correct2": _outfromv2(a, chans),
-        "outfromv_varto_consistent": _varto_mismatches(a),
-        "varfrom_correct": _fine_var_escapes(a, None, "inputs"),
-        "varto_correct": _fine_var_escapes(a, None, "outputs"),
-        "var_useful": _useless_vars(a),
-    }
-    verdicts: dict[str, Verdict] = {}
-    for name in PREDICATE_NAMES:
-        witnesses = tuple(found[name])
-        verdicts[name] = Verdict(holds=not witnesses, witnesses=witnesses)
-    return ValidationReport(verdicts=verdicts)
+    return ValidationReport({name: Verdict(tuple(found(a))) for name, found in _PREDICATES.items()})

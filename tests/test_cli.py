@@ -4,6 +4,8 @@ import functools
 import io
 import json
 import operator
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -435,11 +437,38 @@ def _system_s_calls(path: str):
     yield ["fixture"], None
 
 
-def test_text_and_json_agree_on_system_s(model_file):
+GOLDEN = Path(__file__).parent / "data" / "system_s_cli.json"
+_DOC = "system_s.json"  # stands for the bundled document's path in argv keys
+
+
+def _golden_runs() -> dict:
+    """Exit code and stdout of every system S call, in text and with --json,
+    keyed by its argv joined with spaces."""
+    path = str(resources.files("archdeps") / "data" / "system_s.json")
+    runs = {}
+    for argv, _ in _system_s_calls(_DOC):
+        for call in (argv, argv + ["--json"]):
+            code, out = _run([path if arg == _DOC else arg for arg in call])
+            runs[" ".join(call)] = [code, out]
+    return runs
+
+
+@pytest.fixture(scope="module")
+def system_s_runs():
+    return _golden_runs()
+
+
+def test_system_s_cli_matches_golden(system_s_runs):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert system_s_runs.keys() == golden.keys()
+    assert [key for key in golden if system_s_runs[key] != golden[key]] == []
+
+
+def test_text_and_json_agree_on_system_s(system_s_runs):
     seen = set()
-    for argv, parse in _system_s_calls(model_file):
-        text_code, text = _run(argv)
-        json_code, payload = _run(argv + ["--json"])
+    for argv, parse in _system_s_calls(_DOC):
+        text_code, text = system_s_runs[" ".join(argv)]
+        json_code, payload = system_s_runs[" ".join(argv + ["--json"])]
         assert text_code == json_code, argv
         if parse is None:  # DOT and the canonical document in both modes
             assert text == payload, argv
@@ -448,3 +477,9 @@ def test_text_and_json_agree_on_system_s(model_file):
         seen.add((argv[0], text_code))
     assert {cmd for cmd, _ in seen} == set(cli._COMMANDS)
     assert {("check-refinement", cli.EXIT_VIOLATION), ("slice", cli.EXIT_VIOLATION)} <= seen
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python -m tests.test_cli rewrites the golden from this tree.
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(_golden_runs(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -6,7 +6,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from archdeps import case_study_fixture, ingest
-from archdeps.model import Architecture, UnknownIdentifierError
+from archdeps.model import (
+    Architecture,
+    InvalidIdentifierError,
+    ModelError,
+    SubcomponentCycleError,
+    UnknownIdentifierError,
+)
 
 from .conftest import to_tables
 
@@ -206,3 +212,64 @@ def test_export_dot_escapes_quotes_and_backslashes():
 def test_parse_unreadable_json_is_document_error(doc, message):
     with pytest.raises(ingest.DocumentError, match=message):
         ingest.parse(doc)
+
+
+def _load_error_cases():
+    """(id, document, exception type, full message): one per load rule."""
+    DocErr = ingest.DocumentError
+    yield "syntax", '{\n  "components": }', DocErr, "syntax error at line 2, column 17: Expecting value"
+    yield "top_not_object", "[]", DocErr, "top level must be an object"
+    yield "top_unknown", {"zeta": 1, "alpha": {}}, DocErr, "unknown top-level members: alpha, zeta"
+    yield "components_not_object", {"components": []}, DocErr, "components must be an object"
+    yield "component_not_object", {"components": {"A": ["x"]}}, DocErr, "components[A] must be an object"
+    yield ("component_unknown", {"components": {"A": {"out": [], "sub": [], "ins": []}}},
+           DocErr, "components[A] has unknown members: ins, sub")
+    for member in ("in", "out", "var", "subcomp"):
+        yield (f"component_{member}_non_string", {"components": {"A": {member: ["x", 1]}}},
+               DocErr, f"components[A].{member} must be an array of identifier strings")
+    for table in ("levels", "chan_from_ch", "chan_from_var", "var_from", "var_to"):
+        yield f"{table}_not_object", {table: ["x"]}, DocErr, f"{table} must be an object"
+        yield (f"{table}_non_string", {table: {"k": [None]}},
+               DocErr, f"{table}[k] must be an array of identifier strings")
+    for array in ("highload_channels", "highperf_components"):
+        yield (f"{array}_non_string", {array: ["x", ["y"]]},
+               DocErr, f"{array} must be an array of identifier strings")
+    declare = {
+        "component": lambda n: {"components": {n: {}}},
+        "channel": lambda n: {"components": {"A": {"out": [n]}}},
+        "variable": lambda n: {"components": {"A": {"var": [n]}}},
+        "level": lambda n: {"levels": {n: []}},
+    }
+    for kind, doc in declare.items():
+        for bad_id, name in (("space", "a b"), ("comma", "a,b"), ("empty", ""), ("nbsp", "a\xa0")):
+            yield (f"{kind}_name_{bad_id}", doc(name), InvalidIdentifierError,
+                   f"invalid {kind} identifier: {name!r}")
+    Unknown = UnknownIdentifierError
+    yield ("undeclared_subcomp", {"components": {"A": {"subcomp": ["C", "B"]}}},
+           Unknown, "undeclared component B, C referenced in subcomp of A")
+    yield "undeclared_level", {"levels": {"L": ["A"]}}, Unknown, "undeclared component A referenced in level L"
+    yield ("undeclared_chan_from_ch", {"chan_from_ch": {"x": ["y"]}},
+           Unknown, "undeclared channel y referenced in chan_from_ch of x")
+    yield ("undeclared_chan_from_var", {"chan_from_var": {"x": ["v"]}},
+           Unknown, "undeclared variable v referenced in chan_from_var of x")
+    yield ("undeclared_var_from", {"var_from": {"v": ["x"]}},
+           Unknown, "undeclared channel x referenced in var_from of v")
+    yield "undeclared_var_to", {"var_to": {"v": ["x"]}}, Unknown, "undeclared channel x referenced in var_to of v"
+    yield ("undeclared_highload", {"highload_channels": ["x"]},
+           Unknown, "undeclared channel x referenced in highload_channels")
+    yield ("undeclared_highperf", {"highperf_components": ["A"]},
+           Unknown, "undeclared component A referenced in highperf_components")
+    yield ("subcomp_cycle", {"components": {"A": {"subcomp": ["B"]}, "B": {"subcomp": ["A"]}}},
+           SubcomponentCycleError, "subcomponent cycle: A -> B -> A")
+
+
+@pytest.mark.parametrize(
+    "doc,error,message",
+    [pytest.param(doc, error, message, id=case) for case, doc, error, message in _load_error_cases()],
+)
+def test_parse_load_errors_exactly(doc, error, message):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    with pytest.raises(ModelError) as info:
+        ingest.parse(text)
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -287,6 +288,66 @@ def test_refinement_witnesses_match_definition(seed):
     assert report.ok == (not expected)
 
 
+def random_coarsening(rng: random.Random):
+    """A fine level wired by random channels and a coarse level grouping it.
+
+    A coarse component's subcomponents are its group, and its interface is
+    the union of theirs less a random part of the group's internal channels:
+    those whose every producer and consumer on the fine level is in the
+    group. A lone fine component is sometimes its own coarse component, and
+    some fine components are decomposed into atoms on no level.
+    """
+    chans = [f"x{i}" for i in range(rng.randint(1, 10))]
+    fine = [f"f{i}" for i in range(rng.randint(1, 10))]
+    components = {}
+    for f in fine:
+        components[f] = {
+            "in": rng.sample(chans, rng.randint(0, min(3, len(chans)))),
+            "out": rng.sample(chans, rng.randint(0, min(2, len(chans)))),
+        }
+        if rng.random() < 0.3:
+            atoms = [f"{f}.{j}" for j in range(rng.randint(1, 2))]
+            components[f]["subcomp"] = atoms
+            components.update((t, {}) for t in atoms)
+    touching = {x: {f for f in fine if x in components[f]["in"] + components[f]["out"]} for x in chans}
+    order = rng.sample(fine, len(fine))
+    coarse = []
+    while order:
+        k = rng.randint(1, 3)
+        group, order = order[:k], order[k:]
+        if len(group) == 1 and rng.random() < 0.3:
+            coarse.append(group[0])
+            continue
+        ins = {x for f in group for x in components[f]["in"]}
+        outs = {x for f in group for x in components[f]["out"]}
+        internal = {x for x in ins & outs if touching[x] <= set(group)}
+        hidden = {x for x in internal if rng.random() < 0.7}
+        name = f"g{len(coarse)}"
+        components[name] = {"in": sorted(ins - hidden), "out": sorted(outs - hidden), "subcomp": group}
+        coarse.append(name)
+    return Architecture.create(components=components, levels={"fine": fine, "coarse": coarse})
+
+
+@given(seeds)
+def test_fine_slice_atoms_lie_in_coarse_slice_atoms(seed):
+    rng = random.Random(seed)
+    a = random_coarsening(rng)
+    assert optimize.verify_level_refinement(a, "fine", "coarse").ok
+
+    @functools.cache
+    def leaves(c):
+        subs = a.components[c].subcomponents
+        return frozenset().union(*map(leaves, subs)) if subs else frozenset((c,))
+
+    def slice_atoms(level, chset):
+        return frozenset().union(*map(leaves, slicing.min_set_of_components(a, level, chset)))
+
+    produced = sorted(set(a.level_index("fine").producers) & set(a.level_index("coarse").producers))
+    for _ in range(3 if produced else 0):
+        chset = rng.sample(produced, rng.randint(1, min(3, len(produced))))
+        assert slice_atoms("fine", chset) <= slice_atoms("coarse", chset), chset
+
+
 @given(seeds)
 def test_serialize_parse_round_trip(seed):
     a = build(seed)
@@ -314,6 +375,21 @@ def test_elementary_consistency(seed):
             for y in outs[i:]
         )
         assert elementary.is_elementary(a, c) == pairwise
+
+
+def test_elementary_one_variable_feeding_2000_outputs_under_one_second():
+    k = 2_000
+    outs = [f"x{i}" for i in range(k)]
+    a = Architecture.create(
+        components={"c": {"in": ["i"], "out": outs, "var": ["v"]}},
+        levels={"L": ["c"]},
+        chan_from_var={x: ["v"] for x in outs},
+        var_from={"v": ["i"]},
+        var_to={"v": outs},
+    )
+    start = time.perf_counter()
+    assert elementary.is_elementary(a, "c")
+    assert time.perf_counter() - start < 1.0
 
 
 @given(seeds)
