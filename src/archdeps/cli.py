@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -45,7 +46,10 @@ def _load(path: str) -> Architecture:
         raise ingest.DocumentError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
-    return ingest.parse(text)
+    a = ingest.parse(text)
+    # The model lives until the process exits: keep later collections off it.
+    gc.freeze()
+    return a
 
 
 def _channels_arg(raw: str) -> list[str]:

@@ -4,31 +4,90 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-from .model import Architecture, LevelId, ModelError
+from .model import _MEMBERS, Architecture, LevelId, ModelError, _collector_paused
 
 _TABLES = ("levels", "chan_from_ch", "chan_from_var", "var_from", "var_to")
 _ARRAYS = ("highload_channels", "highperf_components")
 _TOP_LEVEL = ("components", *_TABLES, *_ARRAYS)  # Architecture.create's parameters
 
-_COMPONENT_MEMBERS = ("in", "out", "var", "subcomp")
+_MEMBER_SET = frozenset(_MEMBERS)
 
 
 class DocumentError(ModelError):
     """The document text is not a well-formed architecture description."""
 
 
-def _expect_string_array(value: object, where: str) -> None:
-    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
-        raise DocumentError(f"{where} must be an array of identifier strings")
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    # json.loads's object_pairs_hook: the object, unless a key repeats.
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError(f"duplicate key: {key!r}")
+            seen.add(key)
+    return obj
 
 
-def _expect_table(value: object, where: str) -> None:
-    if not isinstance(value, dict):
-        raise DocumentError(f"{where} must be an object")
-    for key, members in value.items():
-        _expect_string_array(members, f"{where}[{key}]")
+def _well_shaped(raw: dict) -> bool:
+    """Whether the decoded document has the shape ``_raise_first_breach`` checks.
+
+    A few passes over whole columns, each a C loop: every component and
+    table is an object, every component member known, every array a list
+    and every array element a string.
+    """
+    components = raw.get("components", {})
+    tables = [raw.get(key, {}) for key in _TABLES]
+    if type(components) is not dict or not set(map(type, tables)) <= {dict}:
+        return False
+    specs = components.values()
+    if not set(map(type, specs)) <= {dict} or not _MEMBER_SET.issuperset(chain.from_iterable(specs)):
+        return False
+    arrays = [
+        *chain.from_iterable(map(dict.values, specs)),
+        *chain.from_iterable(map(dict.values, tables)),
+        *(raw.get(key, []) for key in _ARRAYS),
+    ]
+    return set(map(type, arrays)) <= {list} and set(map(type, chain.from_iterable(arrays))) <= {str}
+
+
+def _is_string_array(value: object) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= {str}
+
+
+def _raise_first_breach(raw: dict) -> None:
+    """Raise DocumentError for the first shape breach in document order.
+
+    The per-entry form of ``_well_shaped``, run only when that fails, so a
+    location is built only for the breach it names.
+    """
+    components = raw.get("components", {})
+    if not isinstance(components, dict):
+        raise DocumentError("components must be an object")
+    for name, spec in components.items():
+        if not isinstance(spec, dict):
+            raise DocumentError(f"components[{name}] must be an object")
+        extra = sorted(set(spec) - _MEMBER_SET)
+        if extra:
+            raise DocumentError(f"components[{name}] has unknown members: {', '.join(extra)}")
+        for member in _MEMBERS:
+            if not _is_string_array(spec.get(member, [])):
+                raise DocumentError(
+                    f"components[{name}].{member} must be an array of identifier strings"
+                )
+    for key in _TABLES:
+        table = raw.get(key, {})
+        if not isinstance(table, dict):
+            raise DocumentError(f"{key} must be an object")
+        for owner, members in table.items():
+            if not _is_string_array(members):
+                raise DocumentError(f"{key}[{owner}] must be an array of identifier strings")
+    for key in _ARRAYS:
+        if not _is_string_array(raw.get(key, [])):
+            raise DocumentError(f"{key} must be an array of identifier strings")
 
 
 def parse(doc: str) -> Architecture:
@@ -37,43 +96,30 @@ def parse(doc: str) -> Architecture:
     Checks the shape of the decoded JSON in place, then hands it to
     ``Architecture.create``, which fills in what is missing and checks names,
     references and the subcomponent relation. Raises DocumentError on
-    malformed text (with position for syntax errors), and the model's
-    InvalidIdentifierError, UnknownIdentifierError and SubcomponentCycleError.
+    malformed text (with position for syntax errors) or a key repeated in
+    one object, and the model's InvalidIdentifierError,
+    UnknownIdentifierError and SubcomponentCycleError. Decoding and building
+    run with the cyclic garbage collector paused: they make no cycles.
     """
-    try:
-        raw = json.loads(doc)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError as exc:
-        raise DocumentError("arrays or objects nested too deeply") from exc
-    except ValueError as exc:  # e.g. an integer literal past the digit limit
-        raise DocumentError(f"unreadable value: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DocumentError("top level must be an object")
-    unknown = sorted(set(raw) - set(_TOP_LEVEL))
-    if unknown:
-        raise DocumentError(f"unknown top-level members: {', '.join(unknown)}")
-
-    components = raw.get("components", {})
-    if not isinstance(components, dict):
-        raise DocumentError("components must be an object")
-    for name, spec in components.items():
-        if not isinstance(spec, dict):
-            raise DocumentError(f"components[{name}] must be an object")
-        extra = sorted(set(spec) - set(_COMPONENT_MEMBERS))
-        if extra:
+    with _collector_paused():
+        try:
+            raw = json.loads(doc, object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError as exc:
             raise DocumentError(
-                f"components[{name}] has unknown members: {', '.join(extra)}"
-            )
-        for member in _COMPONENT_MEMBERS:
-            _expect_string_array(spec.get(member, []), f"components[{name}].{member}")
-    for key in _TABLES:
-        _expect_table(raw.get(key, {}), key)
-    for key in _ARRAYS:
-        _expect_string_array(raw.get(key, []), key)
-    return Architecture.create(**raw)
+                f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+        except RecursionError as exc:
+            raise DocumentError("arrays or objects nested too deeply") from exc
+        except ValueError as exc:  # e.g. an integer literal past the digit limit
+            raise DocumentError(f"unreadable value: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise DocumentError("top level must be an object")
+        unknown = sorted(set(raw) - set(_TOP_LEVEL))
+        if unknown:
+            raise DocumentError(f"unknown top-level members: {', '.join(unknown)}")
+        if not _well_shaped(raw):
+            _raise_first_breach(raw)
+        return Architecture.create(**raw)
 
 
 @lru_cache(maxsize=1)

@@ -7,10 +7,14 @@ Architecture is constructed.
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import chain, compress
+from operator import methodcaller
+from typing import Iterable, Iterator, Mapping
 
 ComponentId = str
 ChannelId = str
@@ -46,6 +50,58 @@ class ComponentRecord:
 
 
 _SEPARATOR = re.compile(r"[\s,]")  # no identifier holds one; \s is what str.isspace accepts
+_EMPTY: frozenset = frozenset()  # the one object behind every empty member and table entry
+_MEMBERS = ("in", "out", "var", "subcomp")
+# Where a collection of names belongs, a string would split into one-character
+# names and a false scalar would pass for the empty collection.
+_SCALARS = frozenset({str, bool, int, float, type(None)})
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the body, then restore its state.
+
+    Loading and index building allocate many containers and make no
+    reference cycles, so each collection they would trigger only rescans
+    the heap already built. Usable as a decorator too.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _collections(
+    components: Mapping[str, Mapping[str, object]],
+    tables: Mapping[str, Mapping[str, object]],
+    arrays: Mapping[str, object],
+) -> Iterator[tuple[str, object]]:
+    """Each place a collection of names belongs, with its location, in the
+    order ``create`` takes them."""
+    for name, spec in components.items():
+        for member in _MEMBERS:
+            yield f"components[{name}].{member}", spec.get(member, ())
+    for key, table in tables.items():
+        for owner, value in table.items():
+            yield f"{key}[{owner}]", value
+    yield from arrays.items()
+
+
+def _check_names(kind: str, names: Iterable[object]) -> None:
+    """Raise InvalidIdentifierError for the first name in ``names`` that is not
+    a non-empty string free of separators.
+
+    One type test, one truth test and one search over the joined names
+    decide; the loop only runs to name the offender.
+    """
+    if set(map(type, names)) <= {str} and all(names) and not _SEPARATOR.search("".join(names)):
+        return
+    for name in names:
+        if not isinstance(name, str) or not name or _SEPARATOR.search(name):
+            raise InvalidIdentifierError(f"invalid {kind} identifier: {name!r}")
 
 
 def _inverse(pairs: Iterable[tuple[str, Iterable[str]]]) -> dict[str, tuple[str, ...]]:
@@ -85,9 +141,14 @@ def _post_order(
                 done[node] = True
                 order.append(node)
             elif child not in done:
-                done[child] = False
-                path.append(child)
-                stack.append(iter(sorted(components[child].subcomponents)))
+                below = components[child].subcomponents
+                if below:
+                    done[child] = False
+                    path.append(child)
+                    stack.append(iter(sorted(below)))
+                else:  # no subcomponents: finished as soon as it is met
+                    done[child] = True
+                    order.append(child)
             elif not done[child]:
                 cycle = path[path.index(child):] + [child]
                 raise SubcomponentCycleError("subcomponent cycle: " + " -> ".join(cycle))
@@ -110,6 +171,7 @@ class LevelIndex:
     consumers: Mapping[ChannelId, tuple[ComponentId, ...]]
 
     @classmethod
+    @_collector_paused()
     def build(
         cls,
         components: Mapping[ComponentId, ComponentRecord],
@@ -143,6 +205,7 @@ class HierarchyIndex:
     finest_first: tuple[LevelId, ...]
 
     @classmethod
+    @_collector_paused()
     def build(cls, a: "Architecture") -> "HierarchyIndex":
         components, levels = a.components, a.levels
         height: dict[ComponentId, int] = {}
@@ -180,6 +243,7 @@ class Architecture:
     highperf_components: frozenset[ComponentId]
 
     @classmethod
+    @_collector_paused()
     def create(
         cls,
         components: Mapping[ComponentId, Mapping[str, Iterable[str]]] | None = None,
@@ -192,76 +256,97 @@ class Architecture:
         highperf_components: Iterable[ComponentId] = (),
     ) -> "Architecture":
         """Fill in missing members and tables, check every name, reference
-        and the subcomponent relation, and freeze the tables in name order."""
+        and the subcomponent relation, and freeze the tables in name order.
+
+        A string, number, bool or None where a collection of names belongs is
+        a TypeError that names the place. Every check runs over whole columns
+        in C loops; a per-entry loop runs only to name the first offender.
+        """
         components = components or {}
         levels = levels or {}
         chan_from_ch = chan_from_ch or {}
         chan_from_var = chan_from_var or {}
         var_from = var_from or {}
         var_to = var_to or {}
-
-        records = {
-            name: ComponentRecord(
-                inputs=frozenset(spec.get("in", ())),
-                outputs=frozenset(spec.get("out", ())),
-                vars=frozenset(spec.get("var", ())),
-                subcomponents=frozenset(spec.get("subcomp", ())),
-            )
-            for name, spec in components.items()
+        tables = {
+            "levels": levels, "chan_from_ch": chan_from_ch, "chan_from_var": chan_from_var,
+            "var_from": var_from, "var_to": var_to,
         }
+        arrays = {"highload_channels": highload_channels, "highperf_components": highperf_components}
 
-        comp_universe = frozenset(records)
+        names = list(components)
+        specs = list(components.values())
+        columns = [list(map(methodcaller("get", m, ()), specs)) for m in _MEMBERS]
+        placed = chain(*columns, *map(methodcaller("values"), tables.values()), arrays.values())
+        if not _SCALARS.isdisjoint(map(type, placed)):
+            where, value = next(
+                (w, v) for w, v in _collections(components, tables, arrays) if type(v) in _SCALARS
+            )
+            raise TypeError(f"{where} must be a collection of names, not {type(value).__name__}")
+        ins, outs, var_sets, subs = (
+            [frozenset(v) if v else _EMPTY for v in column] for column in columns
+        )
+
+        comp_universe = frozenset(names)
         chans = set(chan_from_ch)
         chans.update(chan_from_var)
+        chans.update(*chain.from_iterable(zip(ins, outs)))  # component by component, as declared
         variables = set(var_from)
         variables.update(var_to)
-        for rec in records.values():
-            chans.update(rec.inputs)
-            chans.update(rec.outputs)
-            variables.update(rec.vars)
+        variables.update(*var_sets)
         chan_universe = frozenset(chans)
         var_universe = frozenset(variables)
 
-        for kind, names in (
-            ("component", records), ("channel", chan_universe),
+        for kind, universe in (
+            ("component", names), ("channel", chan_universe),
             ("variable", var_universe), ("level", levels),
         ):
-            for name in names:
-                if not isinstance(name, str) or not name or _SEPARATOR.search(name):
-                    raise InvalidIdentifierError(f"invalid {kind} identifier: {name!r}")
+            _check_names(kind, universe)
 
-        def check_refs(kind: str, referenced: Iterable[str], universe: frozenset[str], where: str) -> None:
-            if not universe.issuperset(referenced):
-                unknown = ", ".join(sorted(set(referenced) - universe))
-                raise UnknownIdentifierError(f"undeclared {kind} {unknown} referenced in {where}")
+        def total(table: Mapping[str, Iterable[str]], keys: list[str]) -> dict[str, frozenset[str]]:
+            get = table.get
+            return {k: frozenset(v) if (v := get(k)) else _EMPTY for k in keys}
 
-        for name, rec in records.items():
-            check_refs("component", rec.subcomponents, comp_universe, f"subcomp of {name}")
-        for lvl, members in levels.items():
-            check_refs("component", members, comp_universe, f"level {lvl}")
-        for chan, dep in chan_from_ch.items():
-            check_refs("channel", dep, chan_universe, f"chan_from_ch of {chan}")
-        for chan, dep in chan_from_var.items():
-            check_refs("variable", dep, var_universe, f"chan_from_var of {chan}")
-        for var, dep in var_from.items():
-            check_refs("channel", dep, chan_universe, f"var_from of {var}")
-        for var, dep in var_to.items():
-            check_refs("channel", dep, chan_universe, f"var_to of {var}")
-        check_refs("channel", highload_channels, chan_universe, "highload_channels")
-        check_refs("component", highperf_components, comp_universe, "highperf_components")
+        chan_order, var_order = sorted(chan_universe), sorted(var_universe)
+        frozen = {
+            "levels": total(levels, sorted(levels)),
+            "chan_from_ch": total(chan_from_ch, chan_order),
+            "chan_from_var": total(chan_from_var, chan_order),
+            "var_from": total(var_from, var_order),
+            "var_to": total(var_to, var_order),
+        }
+        highload, highperf = frozenset(highload_channels), frozenset(highperf_components)
 
+        # (kind, universe, where, owners in declaration order, owner -> names)
+        for kind, universe, where, owners, referenced in (
+            ("component", comp_universe, "subcomp of ", names, dict(zip(names, subs))),
+            ("component", comp_universe, "level ", levels, frozen["levels"]),
+            ("channel", chan_universe, "chan_from_ch of ", chan_from_ch, frozen["chan_from_ch"]),
+            ("variable", var_universe, "chan_from_var of ", chan_from_var, frozen["chan_from_var"]),
+            ("channel", chan_universe, "var_from of ", var_from, frozen["var_from"]),
+            ("channel", chan_universe, "var_to of ", var_to, frozen["var_to"]),
+            ("channel", chan_universe, "", ["highload_channels"], {"highload_channels": highload}),
+            ("component", comp_universe, "", ["highperf_components"], {"highperf_components": highperf}),
+        ):
+            if universe.issuperset(chain.from_iterable(referenced.values())):
+                continue
+            for owner in owners:
+                unknown = referenced[owner] - universe
+                if unknown:
+                    raise UnknownIdentifierError(
+                        f"undeclared {kind} {', '.join(sorted(unknown))} referenced in {where}{owner}"
+                    )
+
+        records = dict(zip(names, map(ComponentRecord, ins, outs, var_sets, subs)))
         arch = cls(
             components={k: records[k] for k in sorted(records)},
-            levels={k: frozenset(levels[k]) for k in sorted(levels)},
-            chan_from_ch={c: frozenset(chan_from_ch.get(c, ())) for c in sorted(chan_universe)},
-            chan_from_var={c: frozenset(chan_from_var.get(c, ())) for c in sorted(chan_universe)},
-            var_from={v: frozenset(var_from.get(v, ())) for v in sorted(var_universe)},
-            var_to={v: frozenset(var_to.get(v, ())) for v in sorted(var_universe)},
-            highload_channels=frozenset(highload_channels),
-            highperf_components=frozenset(highperf_components),
+            highload_channels=highload,
+            highperf_components=highperf,
+            **frozen,
         )
         # Raises on a cycle: HighPerf recursion and level flattening need none.
-        _post_order(arch.components, arch.components)
+        # A component without subcomponents closes no cycle, so no walk starts there.
+        _post_order(arch.components, compress(names, subs))
         return arch
 
     @property
@@ -325,6 +410,7 @@ class Architecture:
         return HierarchyIndex.build(self)
 
     @cached_property
+    @_collector_paused()
     def highperf_marks(self) -> frozenset[ComponentId]:
         """The high-performance components and every component above one.
 

@@ -1,4 +1,6 @@
+import gc
 import random
+from typing import Iterator
 
 import pytest
 
@@ -9,6 +11,15 @@ from archdeps.model import Architecture
 @pytest.fixture(scope="session")
 def arch() -> Architecture:
     return case_study_fixture()
+
+
+@pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+def collector_enabled(request) -> Iterator[bool]:
+    """Runs the test with the cyclic collector on, then off; restores it after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
 
 
 def to_tables(a: Architecture) -> dict:

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import gc
 import io
 import json
 import operator
@@ -26,6 +27,15 @@ def test_validate_ok(model_file, capsys):
     out = capsys.readouterr().out
     assert "composition_out: holds" in out
     assert "violated" not in out
+
+
+def test_loaded_model_is_frozen_out_of_collections(model_file, capsys):
+    gc.unfreeze()
+    try:
+        assert cli.run(["validate", model_file]) == cli.EXIT_OK
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_validate_violation_exit_code(tmp_path, capsys):

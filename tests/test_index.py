@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import time
 
 from archdeps import deps, ingest, slicing, validate
@@ -126,3 +127,13 @@ def test_validate_all_on_20001_component_hierarchy_is_near_linear():
     assert time.perf_counter() - start < 2.0
     assert report.all_hold
     assert len(a.components) == 20_001
+
+
+def test_index_builds_restore_the_collector_state(arch, collector_enabled):
+    fresh = Architecture.create(**to_tables(arch))
+    fresh.level_index("level0")
+    assert gc.isenabled() is collector_enabled
+    fresh.hierarchy_index
+    assert gc.isenabled() is collector_enabled
+    fresh.highperf_marks
+    assert gc.isenabled() is collector_enabled

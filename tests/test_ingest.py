@@ -1,3 +1,4 @@
+import gc
 import json
 from importlib import resources
 
@@ -128,6 +129,7 @@ def architectures(draw):
 def test_serialize_bytes_match_json_dumps(a):
     expected = json.dumps(to_tables(a), indent=2, sort_keys=True) + "\n"
     assert ingest.serialize(a) == expected
+    assert ingest.parse(expected) == a
 
 
 def test_export_dot_level0(arch):
@@ -219,6 +221,8 @@ def _load_error_cases():
     DocErr = ingest.DocumentError
     yield "syntax", '{\n  "components": }', DocErr, "syntax error at line 2, column 17: Expecting value"
     yield "top_not_object", "[]", DocErr, "top level must be an object"
+    yield ("duplicate_key", '{"components": {"A": {"in": ["x"], "out": [], "in": []}}}',
+           DocErr, "duplicate key: 'in'")
     yield "top_unknown", {"zeta": 1, "alpha": {}}, DocErr, "unknown top-level members: alpha, zeta"
     yield "components_not_object", {"components": []}, DocErr, "components must be an object"
     yield "component_not_object", {"components": {"A": ["x"]}}, DocErr, "components[A] must be an object"
@@ -273,3 +277,60 @@ def test_parse_load_errors_exactly(doc, error, message):
         ingest.parse(text)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"components": {"A": {"in": [1]}, "B": 5}}, "components[A].in must be an array of identifier strings"),
+        ({"components": {"B": 5, "A": {"in": [1]}}}, "components[B] must be an object"),
+        (
+            {"components": {"A": {"out": ["x"], "var": [None]}}, "var_to": {"v": "x"}},
+            "components[A].var must be an array of identifier strings",
+        ),
+        ({"var_to": {"v": "x"}, "levels": {"L": [["A"]]}}, "levels[L] must be an array of identifier strings"),
+        ({"highperf_components": [1], "chan_from_var": []}, "chan_from_var must be an object"),
+    ],
+    ids=["member_before_component", "component_before_member", "member_before_table",
+         "table_order_not_document_order", "table_before_array"],
+)
+def test_parse_reports_the_first_breach(doc, message):
+    with pytest.raises(ingest.DocumentError) as info:
+        ingest.parse(json.dumps(doc))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "doc,error",
+    [
+        ('{"components": {"A": {"out": ["x"]}}, "levels": {"L": ["A"]}}', None),
+        ('{"components": }', ingest.DocumentError),
+        ('{"levels": {}, "levels": {}}', ingest.DocumentError),
+        ('{"components": {"A": {"in": [1]}}}', ingest.DocumentError),
+        ('{"components": {"a b": {}}}', InvalidIdentifierError),
+        ('{"levels": {"L": ["A"]}}', UnknownIdentifierError),
+        ('{"components": {"A": {"subcomp": ["A"]}}}', SubcomponentCycleError),
+    ],
+    ids=["loads", "syntax", "duplicate_key", "shape", "invalid", "unknown", "cycle"],
+)
+def test_parse_restores_the_collector_state(collector_enabled, doc, error):
+    if error is None:
+        ingest.parse(doc)
+    else:
+        with pytest.raises(error):
+            ingest.parse(doc)
+    assert gc.isenabled() is collector_enabled
+
+
+def test_empty_members_and_entries_are_one_object():
+    a = ingest.parse(bundled_document())
+    empties = [
+        s for rec in a.components.values()
+        for s in (rec.inputs, rec.outputs, rec.vars, rec.subcomponents) if not s
+    ]
+    empties += [
+        s for table in (a.levels, a.chan_from_ch, a.chan_from_var, a.var_from, a.var_to)
+        for s in table.values() if not s
+    ]
+    assert len(empties) > 50
+    assert len({id(s) for s in empties}) == 1

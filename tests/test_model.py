@@ -85,6 +85,25 @@ def test_comma_in_identifier_rejected(components):
         Architecture.create(components=components)
 
 
+@pytest.mark.parametrize(
+    "tables,where,kind",
+    [
+        ({"components": {"A": {"in": "xy"}}}, "components[A].in", "str"),
+        ({"components": {"A": {}}, "chan_from_ch": {"x": []}, "var_from": {"v": "x"}}, "var_from[v]", "str"),
+        ({"components": {"A": {}}, "levels": {"L": "A"}}, "levels[L]", "str"),
+        ({"chan_from_ch": {"x": []}, "highload_channels": "x"}, "highload_channels", "str"),
+        ({"components": {"A": {"out": [], "var": None}}}, "components[A].var", "NoneType"),
+        ({"components": {"A": {"subcomp": 0}}}, "components[A].subcomp", "int"),
+        ({"components": {"A": {}}, "levels": {"L": False}}, "levels[L]", "bool"),
+    ],
+    ids=["member", "table_entry", "level", "array", "none", "zero", "false"],
+)
+def test_scalar_for_names_is_a_type_error(tables, where, kind):
+    with pytest.raises(TypeError) as info:
+        Architecture.create(**tables)
+    assert str(info.value) == f"{where} must be a collection of names, not {kind}"
+
+
 def test_subcomponent_cycle_rejected():
     with pytest.raises(SubcomponentCycleError) as info:
         Architecture.create(
