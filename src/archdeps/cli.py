@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import deps, elementary, ingest, optimize, slicing, validate
+from . import ingest  # each handler imports the analysis it runs, and no other
 from .model import Architecture, ModelError
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def _channels_arg(raw: str) -> list[str]:
     return [x for x in raw.split(",") if x]
 
 
-def _partition(part: optimize.LevelPartition) -> _Result:
+def _partition(part) -> _Result:  # part: an optimize.LevelPartition
     groups = [(sorted(g), mark) for g, mark in zip(part.groups, part.high_perf)]
     payload = {
         "level": part.source_level,
@@ -130,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> _Result:
+    from . import validate
     report = validate.validate_all(_load(args.file))
     payload = {
         "all_hold": report.all_hold,
@@ -152,15 +153,15 @@ def _cmd_validate(args) -> _Result:
     return payload, text, EXIT_OK if report.all_hold else EXIT_VIOLATION
 
 
-_SOURCES = {"direct": deps.dsources, "acc": deps.acc, "dacc": deps.dacc}
-
-
 def _cmd_sources(args) -> _Result:
-    query = next((f for flag, f in _SOURCES.items() if getattr(args, flag)), deps.sources)
+    from . import deps
+    queries = {"direct": deps.dsources, "acc": deps.acc, "dacc": deps.dacc}
+    query = next((f for flag, f in queries.items() if getattr(args, flag)), deps.sources)
     return _sorted_names("components", query(_load(args.file), args.level, args.component))
 
 
 def _cmd_slice(args) -> _Result:
+    from . import slicing
     report = slicing.slice_report(_load(args.file), args.level, _channels_arg(args.channels))
     rows = (  # JSON key, text label, value
         ("level", "level", report.level),
@@ -180,6 +181,7 @@ def _cmd_slice(args) -> _Result:
 
 
 def _cmd_elementary(args) -> _Result:
+    from . import elementary
     report = elementary.elementary_report(_load(args.file), args.level)
     text = "".join(
         f"{comp}: {'elementary' if verdict else 'not elementary'}\n"
@@ -189,6 +191,7 @@ def _cmd_elementary(args) -> _Result:
 
 
 def _cmd_classify(args) -> _Result:
+    from . import validate
     a = _load(args.file)
     a.require_level(args.level)
     result = {
@@ -199,19 +202,23 @@ def _cmd_classify(args) -> _Result:
 
 
 def _cmd_chan_deps(args) -> _Result:
+    from . import deps
     query = deps.chan_transitive_deps if args.transitive else deps.chan_direct_deps
     return _sorted_names("channels", query(_load(args.file), args.channel))
 
 
 def _cmd_condense(args) -> _Result:
+    from . import optimize
     return _partition(optimize.condense_level(_load(args.file), args.level))
 
 
 def _cmd_optimize(args) -> _Result:
+    from . import optimize
     return _partition(optimize.highload_grouping(_load(args.file), args.level))
 
 
 def _cmd_check_refinement(args) -> _Result:
+    from . import optimize
     report = optimize.verify_level_refinement(_load(args.file), args.fine, args.coarse)
     reasons = [w.reason for w in report.witnesses]
     text = ("ok" if report.ok else "violated") + "\n" + "".join(f"  {r}\n" for r in reasons)

@@ -6,7 +6,7 @@ that level; the result is the empty set, not an error.
 
 from __future__ import annotations
 
-from .model import Architecture, ChannelId, ComponentId, LevelId, LevelIndex
+from .model import Architecture, ChannelId, ComponentId, LevelId, LevelIndex, VariableId
 
 
 def _feeders(a: Architecture, index: LevelIndex, c: ComponentId) -> set[ComponentId]:
@@ -102,12 +102,20 @@ def chan_direct_deps(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:
 
 
 def chan_transitive_deps(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:
-    """All channels x depends on through any chain of direct dependencies."""
-    seen = set(chan_direct_deps(a, x))
-    todo = list(seen)
-    while todo:
-        for y in chan_direct_deps(a, todo.pop()):
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
+    """All channels x depends on through any chain of direct dependencies, x
+    itself only when it lies on a cycle. Each variable is expanded once."""
+    a.require_channel(x)
+    seen: set[ChannelId] = set()
+    expanded: set[VariableId] = set()
+    frontier = {x}
+    while frontier:
+        reached: set[ChannelId] = set()
+        for y in frontier:
+            reached |= a.chan_from_ch[y]
+            for v in a.chan_from_var[y]:
+                if v not in expanded:
+                    expanded.add(v)
+                    reached |= a.var_from[v]
+        frontier = reached - seen
+        seen |= frontier
     return frozenset(seen)

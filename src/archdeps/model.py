@@ -1,8 +1,9 @@
-"""Immutable architecture model: components, channels, variables, levels.
+"""Architecture model: components, channels, variables, levels.
 
 All dependency tables are total mappings: an identifier without an explicit
 entry maps to the empty set. Identifier universes are closed once an
-Architecture is constructed.
+Architecture is constructed. Model objects are equal by field and unhashable;
+their fields are not write-protected, and the package never writes them.
 """
 
 from __future__ import annotations
@@ -10,10 +11,9 @@ from __future__ import annotations
 import gc
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
-from operator import methodcaller
+from operator import attrgetter, methodcaller
 from typing import Iterable, Iterator, Mapping
 
 ComponentId = str
@@ -41,12 +41,36 @@ class SubcomponentCycleError(ModelError):
     """The subcomponent relation contains a cycle."""
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
+class _Fields:
+    """Equality by type and ``_fields`` (the annotated fields, in order) and a
+    repr of them. Unhashable: the fields are writable, and some are dicts."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        values = attrgetter(*self._fields)
+        return values(self) == values(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class ComponentRecord(_Fields):
     inputs: frozenset[ChannelId]
     outputs: frozenset[ChannelId]
     vars: frozenset[VariableId]
     subcomponents: frozenset[ComponentId]
+    _fields = __slots__ = tuple(__annotations__)
+
+    def __init__(self, inputs, outputs, vars, subcomponents) -> None:
+        self.inputs = inputs
+        self.outputs = outputs
+        self.vars = vars
+        self.subcomponents = subcomponents
 
 
 _SEPARATOR = re.compile(r"[\s,]")  # no identifier holds one; \s is what str.isspace accepts
@@ -155,8 +179,7 @@ def _post_order(
     return order
 
 
-@dataclass(frozen=True)
-class LevelIndex:
+class LevelIndex(_Fields):
     """Who produces and who consumes each channel on one level.
 
     ``producers[x]`` and ``consumers[x]`` are the level's components, in name
@@ -169,6 +192,10 @@ class LevelIndex:
     members: frozenset[ComponentId]
     producers: Mapping[ChannelId, tuple[ComponentId, ...]]
     consumers: Mapping[ChannelId, tuple[ComponentId, ...]]
+    _fields = __slots__ = tuple(__annotations__)
+
+    def __init__(self, members, producers, consumers) -> None:
+        self.members, self.producers, self.consumers = members, producers, consumers
 
     @classmethod
     @_collector_paused()
@@ -185,8 +212,7 @@ class LevelIndex:
         )
 
 
-@dataclass(frozen=True)
-class HierarchyIndex:
+class HierarchyIndex(_Fields):
     """The subcomponent hierarchy and the document-wide channel tables.
 
     ``parents[level][c]``: the level's components with c as a subcomponent.
@@ -203,6 +229,11 @@ class HierarchyIndex:
     producers: Mapping[ChannelId, tuple[ComponentId, ...]]
     targeted_by: Mapping[ChannelId, tuple[VariableId, ...]]
     finest_first: tuple[LevelId, ...]
+    _fields = __slots__ = tuple(__annotations__)
+
+    def __init__(self, parents, levels_of, producers, targeted_by, finest_first) -> None:
+        self.parents, self.levels_of, self.producers = parents, levels_of, producers
+        self.targeted_by, self.finest_first = targeted_by, finest_first
 
     @classmethod
     @_collector_paused()
@@ -225,12 +256,13 @@ class HierarchyIndex:
         )
 
 
-@dataclass(frozen=True)
-class Architecture:
+class Architecture(_Fields):
     """Complete, validated analysis input.
 
     Construct through :meth:`create`, which normalizes the tables and
-    enforces referential closure and subcomponent acyclicity.
+    enforces referential closure and subcomponent acyclicity. The cached
+    indexes live in the instance ``__dict__``, outside the fields, so they
+    take no part in ==, repr or serialization.
     """
 
     components: Mapping[ComponentId, ComponentRecord]
@@ -241,6 +273,16 @@ class Architecture:
     var_to: Mapping[VariableId, frozenset[ChannelId]]
     highload_channels: frozenset[ChannelId]
     highperf_components: frozenset[ComponentId]
+    _fields = tuple(__annotations__)
+
+    def __init__(
+        self, components, levels, chan_from_ch, chan_from_var, var_from, var_to,
+        highload_channels, highperf_components,
+    ) -> None:
+        self.components, self.levels = components, levels
+        self.chan_from_ch, self.chan_from_var = chan_from_ch, chan_from_var
+        self.var_from, self.var_to = var_from, var_to
+        self.highload_channels, self.highperf_components = highload_channels, highperf_components
 
     @classmethod
     @_collector_paused()
@@ -387,12 +429,10 @@ class Architecture:
         self.require_level(level)
         return self.levels[level]
 
-    # -- per-level index (built on first use, not a dataclass field) --------
+    # -- per-level index (built on first use, not a field) ------------------
 
     @cached_property
     def _level_indexes(self) -> dict[LevelId, LevelIndex]:
-        # Lives in the instance __dict__, outside the fields, so it takes no
-        # part in ==, repr or serialization.
         return {}
 
     def level_index(self, level: LevelId) -> LevelIndex:

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .deps import dsources
 from .model import Architecture, ChannelId, ComponentId, LevelId, _post_order
 from .validate import Verdict, Witness
 
 
-@dataclass(frozen=True)
-class LevelPartition:
+class LevelPartition(NamedTuple):
     """Grouping of a level's components, with per-group high-performance marks.
 
     Groups are ordered by their least member; members are implicit sets.

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .deps import upstream
 from .model import Architecture, ChannelId, ComponentId, LevelId, LevelIndex
 from .validate import ChannelClass, classify_channel
 
 
-@dataclass(frozen=True)
-class SliceReport:
+class SliceReport(NamedTuple):
     level: LevelId
     property_channels: frozenset[ChannelId]
     out_components: frozenset[ComponentId]

@@ -10,8 +10,7 @@ its whole universe; the public boolean functions run it over one entity
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .model import Architecture, ChannelId, ComponentId, LevelId
 
@@ -23,14 +22,12 @@ class ChannelClass(enum.Enum):
     UNUSED = "unused"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     entities: tuple[str, ...]
     reason: str
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     witnesses: tuple[Witness, ...] = ()
 
     @property
@@ -38,9 +35,8 @@ class Verdict:
         return not self.witnesses
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    verdicts: dict[str, Verdict] = field(default_factory=dict)
+class ValidationReport(NamedTuple):
+    verdicts: dict[str, Verdict]
 
     @property
     def all_hold(self) -> bool:

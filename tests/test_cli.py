@@ -5,6 +5,9 @@ import gc
 import io
 import json
 import operator
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -36,6 +39,30 @@ def test_loaded_model_is_frozen_out_of_collections(model_file, capsys):
         assert gc.get_freeze_count() > 0
     finally:
         gc.unfreeze()
+
+
+# Run in a fresh interpreter: which modules one call imports, after the
+# import of the CLI and after a `sources` call.
+_STARTUP_PROBE = """
+import json, sys
+path, unused = sys.argv[1], sys.argv[2:]
+import archdeps.cli
+after_import = [m for m in unused if m in sys.modules]
+code = archdeps.cli.run(["sources", path, "--level", "level0", "--component", "sA8"])
+print(json.dumps([after_import, code, [m for m in unused if m in sys.modules]]))
+"""
+
+
+def test_startup_imports_only_the_analysis_a_subcommand_runs(model_file):
+    unused = ["dataclasses", "archdeps.validate", "archdeps.optimize",
+              "archdeps.slicing", "archdeps.elementary"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, model_file, *unused],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], cli.EXIT_OK, []]
 
 
 def test_validate_violation_exit_code(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import time
 
@@ -57,7 +56,10 @@ def test_queries_on_20000_component_chain_are_near_linear():
     assert time.perf_counter() - start < 1.0
     assert len(result) == 19_999
 
-    fresh = dataclasses.replace(a)  # same tables, no index built yet
+    fresh = Architecture(  # same tables, no index built yet
+        a.components, a.levels, a.chan_from_ch, a.chan_from_var,
+        a.var_from, a.var_to, a.highload_channels, a.highperf_components,
+    )
     start = time.perf_counter()
     report = slicing.slice_report(fresh, "L0", ["x19999"])
     assert time.perf_counter() - start < 1.0

@@ -3,10 +3,13 @@ import pytest
 from archdeps import case_study_fixture
 from archdeps.model import (
     Architecture,
+    ComponentRecord,
     InvalidIdentifierError,
     SubcomponentCycleError,
     UnknownIdentifierError,
 )
+
+from .conftest import to_tables
 
 
 def test_fixture_in_sa4(arch):
@@ -134,3 +137,65 @@ def test_absent_table_entries_total():
 
 def test_fixture_cached_instance():
     assert case_study_fixture() is case_study_fixture()
+
+
+TABLES = (
+    "components", "levels", "chan_from_ch", "chan_from_var",
+    "var_from", "var_to", "highload_channels", "highperf_components",
+)
+
+
+def test_create_twice_gives_equal_models(arch):
+    tables = to_tables(arch)
+    a, b = Architecture.create(**tables), Architecture.create(**tables)
+    assert a is not b
+    assert a == b and b == a and not a != b
+    assert repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_changing_one_table_makes_models_unequal(arch, table):
+    fields = {name: getattr(arch, name) for name in TABLES}
+    value = fields[table]
+    fields[table] = value | {"extra"} if isinstance(value, frozenset) else {**value, "extra": None}
+    changed = Architecture(**fields)
+    assert changed != arch and arch != changed
+    assert not changed == arch
+
+
+def test_model_is_never_equal_to_its_fields_as_a_tuple_or_dict(arch):
+    fields = {name: getattr(arch, name) for name in TABLES}
+    for other in (tuple(fields.values()), fields, list(fields.values())):
+        assert arch != other and other != arch
+
+
+def test_model_is_unhashable(arch):
+    with pytest.raises(TypeError):
+        hash(arch)
+
+
+def test_component_record_equality_and_repr_go_by_its_fields():
+    x, e = frozenset({"x"}), frozenset()
+    record = ComponentRecord(x, e, e, e)
+    assert record == ComponentRecord(x, e, e, e)
+    for i in range(4):
+        fields = [e] * 4
+        fields[i] = frozenset({"y"})
+        assert record != ComponentRecord(*fields)
+    assert record != (x, e, e, e)
+    assert repr(record) == (
+        "ComponentRecord(inputs=frozenset({'x'}), outputs=frozenset(),"
+        " vars=frozenset(), subcomponents=frozenset())"
+    )
+    with pytest.raises(TypeError):
+        hash(record)
+
+
+def test_building_the_cached_indexes_leaves_equality_unchanged(arch):
+    tables = to_tables(arch)
+    a, b = Architecture.create(**tables), Architecture.create(**tables)
+    for level in a.levels:
+        a.level_index(level)
+    assert a.hierarchy_index and a.highperf_marks is not None
+    assert a == b and b == a
+    assert repr(a) == repr(b)

@@ -101,6 +101,23 @@ def test_chan_transitive_deps_matches_oracle(seed):
         assert deps.chan_transitive_deps(a, x) == expected
 
 
+def test_chan_transitive_deps_one_variable_hub_2000_under_one_second():
+    # One variable reads k inputs and feeds k outputs; input i depends on
+    # output i, which closes every output into a cycle through the variable.
+    k = 2_000
+    ins, outs = [f"i{j}" for j in range(k)], [f"o{j}" for j in range(k)]
+    a = Architecture.create(
+        chan_from_ch={**{i: [o] for i, o in zip(ins, outs)}, **{o: [] for o in outs}},
+        chan_from_var={o: ["v"] for o in outs},
+        var_from={"v": ins},
+        var_to={"v": outs},
+    )
+    start = time.perf_counter()
+    result = deps.chan_transitive_deps(a, "o0")
+    assert time.perf_counter() - start < 1.0
+    assert result == set(ins) | set(outs)
+
+
 @given(seeds)
 def test_channel_classification_is_exclusive(seed):
     a = build(seed)
