@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import ingest  # each handler imports the analysis it runs, and no other
-from .model import Architecture, ModelError
+from .model import Architecture, ModelError, _collector_paused
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,9 +46,10 @@ def _load(path: str) -> Architecture:
         raise ingest.DocumentError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
-    a = ingest.parse(text)
-    # The model lives until the process exits: keep later collections off it.
-    gc.freeze()
+    # The model lives until the process exits: freeze it before any collection scans it.
+    with _collector_paused():
+        a = ingest.parse(text)
+        gc.freeze()
     return a
 
 
@@ -129,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args) -> _Result:
+def _cmd_validate(a: Architecture, args) -> _Result:
     from . import validate
-    report = validate.validate_all(_load(args.file))
+    report = validate.validate_all(a)
     payload = {
         "all_hold": report.all_hold,
         "predicates": {
@@ -153,16 +154,16 @@ def _cmd_validate(args) -> _Result:
     return payload, text, EXIT_OK if report.all_hold else EXIT_VIOLATION
 
 
-def _cmd_sources(args) -> _Result:
+def _cmd_sources(a: Architecture, args) -> _Result:
     from . import deps
     queries = {"direct": deps.dsources, "acc": deps.acc, "dacc": deps.dacc}
     query = next((f for flag, f in queries.items() if getattr(args, flag)), deps.sources)
-    return _sorted_names("components", query(_load(args.file), args.level, args.component))
+    return _sorted_names("components", query(a, args.level, args.component))
 
 
-def _cmd_slice(args) -> _Result:
+def _cmd_slice(a: Architecture, args) -> _Result:
     from . import slicing
-    report = slicing.slice_report(_load(args.file), args.level, _channels_arg(args.channels))
+    report = slicing.slice_report(a, args.level, _channels_arg(args.channels))
     rows = (  # JSON key, text label, value
         ("level", "level", report.level),
         ("property_channels", "channels", sorted(report.property_channels)),
@@ -180,9 +181,9 @@ def _cmd_slice(args) -> _Result:
     return {key: v for key, _, v in rows}, text, EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _cmd_elementary(args) -> _Result:
+def _cmd_elementary(a: Architecture, args) -> _Result:
     from . import elementary
-    report = elementary.elementary_report(_load(args.file), args.level)
+    report = elementary.elementary_report(a, args.level)
     text = "".join(
         f"{comp}: {'elementary' if verdict else 'not elementary'}\n"
         for comp, verdict in report.items()
@@ -190,9 +191,8 @@ def _cmd_elementary(args) -> _Result:
     return report, text, EXIT_OK
 
 
-def _cmd_classify(args) -> _Result:
+def _cmd_classify(a: Architecture, args) -> _Result:
     from . import validate
-    a = _load(args.file)
     a.require_level(args.level)
     result = {
         x: validate.classify_channel(a, x, args.level).value
@@ -201,37 +201,37 @@ def _cmd_classify(args) -> _Result:
     return result, "".join(f"{chan}: {kind}\n" for chan, kind in result.items()), EXIT_OK
 
 
-def _cmd_chan_deps(args) -> _Result:
+def _cmd_chan_deps(a: Architecture, args) -> _Result:
     from . import deps
     query = deps.chan_transitive_deps if args.transitive else deps.chan_direct_deps
-    return _sorted_names("channels", query(_load(args.file), args.channel))
+    return _sorted_names("channels", query(a, args.channel))
 
 
-def _cmd_condense(args) -> _Result:
+def _cmd_condense(a: Architecture, args) -> _Result:
     from . import optimize
-    return _partition(optimize.condense_level(_load(args.file), args.level))
+    return _partition(optimize.condense_level(a, args.level))
 
 
-def _cmd_optimize(args) -> _Result:
+def _cmd_optimize(a: Architecture, args) -> _Result:
     from . import optimize
-    return _partition(optimize.highload_grouping(_load(args.file), args.level))
+    return _partition(optimize.highload_grouping(a, args.level))
 
 
-def _cmd_check_refinement(args) -> _Result:
+def _cmd_check_refinement(a: Architecture, args) -> _Result:
     from . import optimize
-    report = optimize.verify_level_refinement(_load(args.file), args.fine, args.coarse)
+    report = optimize.verify_level_refinement(a, args.fine, args.coarse)
     reasons = [w.reason for w in report.witnesses]
     text = ("ok" if report.ok else "violated") + "\n" + "".join(f"  {r}\n" for r in reasons)
     payload = {"ok": report.ok, "witnesses": reasons}
     return payload, text, EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _cmd_export_dot(args) -> _Result:
-    return None, ingest.export_dot(_load(args.file), args.level), EXIT_OK
+def _cmd_export_dot(a: Architecture, args) -> _Result:
+    return None, ingest.export_dot(a, args.level), EXIT_OK
 
 
-def _cmd_fixture(args) -> _Result:
-    return None, ingest.serialize(ingest.case_study_fixture()), EXIT_OK
+def _cmd_fixture(a: Architecture, args) -> _Result:
+    return None, ingest.serialize(a), EXIT_OK
 
 
 _COMMANDS = {
@@ -252,11 +252,13 @@ _COMMANDS = {
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv``, run one subcommand and write its answer.
 
-    This is the one place that picks ``--json`` or text output.
+    The one place that loads a model (the document, or system S for
+    ``fixture``) and that picks ``--json`` or text output.
     """
     args = build_parser().parse_args(argv)
     try:
-        payload, text, code = _COMMANDS[args.command](args)
+        a = ingest.case_study_fixture() if args.command == "fixture" else _load(args.file)
+        payload, text, code = _COMMANDS[args.command](a, args)
         if args.json and payload is not None:
             text = _dump_json(payload)
         _emit(text, getattr(args, "output", None))

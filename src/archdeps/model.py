@@ -215,16 +215,16 @@ class LevelIndex(_Fields):
 class HierarchyIndex(_Fields):
     """The subcomponent hierarchy and the document-wide channel tables.
 
-    ``parents[level][c]``: the level's components with c as a subcomponent.
-    ``levels_of[c]``: the levels c is on. ``producers[x]``: every component,
-    on a level or not, with x among its outputs. ``targeted_by[x]``: the
-    variables whose ``var_to`` holds x. All in name order; a missing key
-    means none. ``finest_first``: the levels by the largest subcomponent
-    height among their members (an undecomposed component has height 0),
-    ties by name.
+    ``parents[c]``: every component, on a level or not, with c as a
+    subcomponent. ``levels_of[c]``: the levels c is on. ``producers[x]``:
+    every component, on a level or not, with x among its outputs.
+    ``targeted_by[x]``: the variables whose ``var_to`` holds x. All in name
+    order; a missing key means none. ``finest_first``: the levels by the
+    largest subcomponent height among their members (an undecomposed
+    component has height 0), ties by name.
     """
 
-    parents: Mapping[LevelId, Mapping[ComponentId, tuple[ComponentId, ...]]]
+    parents: Mapping[ComponentId, tuple[ComponentId, ...]]
     levels_of: Mapping[ComponentId, tuple[LevelId, ...]]
     producers: Mapping[ChannelId, tuple[ComponentId, ...]]
     targeted_by: Mapping[ChannelId, tuple[VariableId, ...]]
@@ -243,10 +243,7 @@ class HierarchyIndex(_Fields):
         for c in _post_order(components, components):
             height[c] = 1 + max((height[s] for s in components[c].subcomponents), default=-1)
         return cls(
-            parents={
-                lvl: _inverse((c, components[c].subcomponents) for c in sorted(levels[lvl]))
-                for lvl in sorted(levels)
-            },
+            parents=_inverse((c, components[c].subcomponents) for c in sorted(components)),
             levels_of=_inverse((lvl, levels[lvl]) for lvl in sorted(levels)),
             producers=_inverse((c, components[c].outputs) for c in sorted(components)),
             targeted_by=_inverse((v, a.var_to[v]) for v in sorted(a.var_to)),
@@ -457,6 +454,7 @@ class Architecture(_Fields):
         Built on first use, in one walk up the subcomponent edges from the
         marked components, and cached like the indexes.
         """
+        # hierarchy_index.parents again, so condense, optimize and export-dot never build that index.
         parents = _inverse((c, rec.subcomponents) for c, rec in self.components.items())
         marked = set(self.highperf_components)
         todo = list(marked)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .deps import dsources
+from .deps import _feeders
 from .model import Architecture, ChannelId, ComponentId, LevelId, _post_order
 from .validate import Verdict, Witness
 
@@ -42,55 +42,45 @@ def _canonical(
 
 
 def condense_level(a: Architecture, level: LevelId) -> LevelPartition:
-    """Partition the level into strongly connected components of its graph."""
-    members = sorted(a.level_components(level))
-    succ = {c: sorted(dsources(a, level, c)) for c in members}
+    """Partition the level into strongly connected components of its graph.
 
-    # Tarjan, iterative to stay clear of the recursion limit.
-    index: dict[ComponentId, int] = {}
+    Tarjan's algorithm with a stack of feeder iterators, so long paths meet
+    no recursion limit."""
+    index = a.level_index(level)
+    number: dict[ComponentId, int] = {}
     lowlink: dict[ComponentId, int] = {}
-    on_stack: set[ComponentId] = set()
     stack: list[ComponentId] = []
-    counter = 0
-    sccs: list[frozenset[ComponentId]] = []
+    on_stack: set[ComponentId] = set()
+    sccs: list[set[ComponentId]] = []
 
-    for root in members:
-        if root in index:
+    def enter(c: ComponentId):
+        number[c] = lowlink[c] = len(number)
+        stack.append(c)
+        on_stack.add(c)
+        return c, iter(_feeders(a, index, c))
+
+    for root in sorted(index.members):
+        if root in number:
             continue
-        work: list[tuple[ComponentId, int]] = [(root, 0)]
+        work = [enter(root)]
         while work:
-            node, i = work.pop()
-            if i == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            children = succ[node]
-            while i < len(children):
-                child = children[i]
-                i += 1
-                if child not in index:
-                    work.append((node, i))
-                    work.append((child, 0))
-                    recurse = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if recurse:
-                continue
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(frozenset(component))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            node, feeders = work[-1]
+            child = next(feeders, None)
+            if child is None:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == number[node]:  # node roots an SCC: pop it
+                    group = set()
+                    while node not in group:
+                        group.add(stack.pop())
+                    on_stack -= group
+                    sccs.append(group)
+            elif child not in number:
+                work.append(enter(child))
+            elif child in on_stack:
+                lowlink[node] = min(lowlink[node], number[child])
     return _canonical(a, level, sccs)
 
 

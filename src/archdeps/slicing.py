@@ -6,7 +6,6 @@ from typing import NamedTuple
 
 from .deps import upstream
 from .model import Architecture, ChannelId, ComponentId, LevelId, LevelIndex
-from .validate import ChannelClass, classify_channel
 
 
 class SliceReport(NamedTuple):
@@ -76,10 +75,8 @@ def slice_report(a: Architecture, level: LevelId, chset) -> SliceReport:
     index = a.level_index(level)
     out_set = _out_set(index, chset)
     min_set = upstream(a, index, out_set)
-    system_inputs = frozenset(
-        x for x in chset if classify_channel(a, x, level) is ChannelClass.SYSTEM_IN
-    )
     producers = index.producers
+    system_inputs = frozenset(x for x in chset if x in index.consumers and x not in producers)
     return SliceReport(
         level=level,
         property_channels=chset,

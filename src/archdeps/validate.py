@@ -3,14 +3,15 @@
 Each predicate is written once, as a generator of the witnesses that
 violate it among the entities it is given. ``validate_all`` runs each over
 its whole universe; the public boolean functions run it over one entity
-(or the whole document) and hold when it yields nothing. All of them read
-``Architecture.hierarchy_index`` and ``level_index`` in place of scans.
+(or the whole document) and hold when it yields nothing. They read
+``Architecture.hierarchy_index`` in place of scans; only
+``classify_channel`` reads a level index.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .model import Architecture, ChannelId, ComponentId, LevelId
 
@@ -69,18 +70,25 @@ def _decomposition_var(a: Architecture, comps: Iterable[ComponentId]) -> Witness
             yield Witness((c,), f"two subcomponents of {c} share a variable")
 
 
+def _two_owners_on_one_level(
+    a: Architecture, owners_of: Mapping[str, tuple[ComponentId, ...]], names: Iterable[str], what: str
+) -> Witnesses:
+    # The owners are distinct, so a level listed twice among their levels holds two of them.
+    levels_of = a.hierarchy_index.levels_of
+    for n in names:
+        owners = owners_of.get(n, ())
+        if len(owners) > 1:
+            levels = [lvl for c in owners for lvl in levels_of.get(c, ())]
+            if len(levels) != len(set(levels)):
+                yield Witness((n,), f"{n} is {what} two components on one level")
+
+
 def _composition_out(a: Architecture, chans: Iterable[ChannelId]) -> Witnesses:
-    indexes = [a.level_index(level) for level in a.levels]
-    for x in chans:
-        if any(len(index.producers.get(x, ())) > 1 for index in indexes):
-            yield Witness((x,), f"{x} is produced by two components on one level")
+    return _two_owners_on_one_level(a, a.hierarchy_index.producers, chans, "produced by")
 
 
 def _composition_subcomp(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
-    per_level = a.hierarchy_index.parents.values()
-    for c in comps:
-        if any(len(parents.get(c, ())) > 1 for parents in per_level):
-            yield Witness((c,), f"{c} is a subcomponent of two components on one level")
+    return _two_owners_on_one_level(a, a.hierarchy_index.parents, comps, "a subcomponent of")
 
 
 def _unused_components(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:

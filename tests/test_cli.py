@@ -41,28 +41,61 @@ def test_loaded_model_is_frozen_out_of_collections(model_file, capsys):
         gc.unfreeze()
 
 
+def test_load_runs_no_collection_over_the_model(tmp_path):
+    n = 2_000
+    doc = {
+        "components": {f"c{i}": {"in": [f"x{i - 1}"] if i else [], "out": [f"x{i}"]}
+                       for i in range(n)},
+        "levels": {"L0": [f"c{i}" for i in range(n)]},
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()  # an empty young generation: only the load's allocations count
+    gc.callbacks.append(count)
+    try:
+        cli._load(str(path))
+    finally:
+        gc.callbacks.remove(count)
+        gc.unfreeze()
+        (gc.enable if was_enabled else gc.disable)()
+    assert started == []
+
+
 # Run in a fresh interpreter: which modules one call imports, after the
-# import of the CLI and after a `sources` call.
+# import of the CLI and after the call.
 _STARTUP_PROBE = """
 import json, sys
-path, unused = sys.argv[1], sys.argv[2:]
+argv, unused = json.loads(sys.argv[1]), sys.argv[2:]
 import archdeps.cli
 after_import = [m for m in unused if m in sys.modules]
-code = archdeps.cli.run(["sources", path, "--level", "level0", "--component", "sA8"])
+code = archdeps.cli.run(argv)
 print(json.dumps([after_import, code, [m for m in unused if m in sys.modules]]))
 """
 
 
 def test_startup_imports_only_the_analysis_a_subcommand_runs(model_file):
-    unused = ["dataclasses", "archdeps.validate", "archdeps.optimize",
-              "archdeps.slicing", "archdeps.elementary"]
-    proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, model_file, *unused],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], cli.EXIT_OK, []]
+    for argv, unused in (
+        (["sources", model_file, "--level", "level0", "--component", "sA8"],
+         ["dataclasses", "archdeps.validate", "archdeps.optimize",
+          "archdeps.slicing", "archdeps.elementary"]),
+        (["slice", model_file, "--level", "level2", "--channels", "data1,data12"],
+         ["dataclasses", "archdeps.validate", "archdeps.optimize", "archdeps.elementary"]),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argv), *unused],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], cli.EXIT_OK, []], argv
 
 
 def test_validate_violation_exit_code(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import gc
 import time
 
-from archdeps import deps, ingest, slicing, validate
+from archdeps import deps, ingest, optimize, slicing, validate
 from archdeps.model import Architecture, LevelIndex
 
 from .conftest import to_tables
@@ -66,16 +66,35 @@ def test_queries_on_20000_component_chain_are_near_linear():
     assert len(report.min_components) == 20_000
 
 
+def test_condense_on_20000_component_chain_and_ring():
+    n = 20_000
+    ring = Architecture.create(
+        components={f"c{i}": {"in": [f"x{(i - 1) % n}"], "out": [f"x{i}"]} for i in range(n)},
+        levels={"L0": [f"c{i}" for i in range(n)]},
+    )
+    for a, groups in ((chain(n), n), (ring, 1)):
+        start = time.perf_counter()
+        partition = optimize.condense_level(a, "L0")
+        assert time.perf_counter() - start < 1.0
+        assert len(partition.groups) == groups
+
+
+def test_validate_all_builds_no_level_index(arch):
+    fresh = Architecture.create(**to_tables(arch))
+    validate.validate_all(fresh)
+    assert "_level_indexes" not in vars(fresh)
+
+
 def test_hierarchy_index_contents_and_laziness(arch):
     fresh = Architecture.create(**to_tables(arch))
     assert "hierarchy_index" not in vars(fresh)
     index = fresh.hierarchy_index
     assert index is fresh.hierarchy_index
     assert fresh == arch and ingest.serialize(fresh) == ingest.serialize(arch)
-    assert index.parents["level2"]["sA22"] == ("sS6",)
-    assert index.parents["level3"]["sA22"] == ("sS4opt",)
-    assert index.parents["level0"]["sA22"] == ("sA2",)
-    assert index.parents["level1"] == {}
+    assert index.parents["sA22"] == ("sA2", "sS4opt", "sS6")
+    assert index.parents["sA5"] == ("sS7opt", "sS8")
+    assert index.parents["sA6"] == ("sS9",)
+    assert index.parents.get("sA1", ()) == ()
     assert index.levels_of["sS3"] == ("level2", "level3")
     assert index.producers == {
         x: tuple(c for c in sorted(arch.components) if x in arch.outputs_of(c))
