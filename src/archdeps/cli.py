@@ -7,6 +7,7 @@ import gc
 import json
 import sys
 from pathlib import Path
+from typing import Collection
 
 from . import ingest  # each handler imports the analysis it runs, and no other
 from .model import Architecture, ModelError, _collector_paused
@@ -72,14 +73,20 @@ def _sorted_names(key: str, names) -> _Result:
     return {key: names}, " ".join(names) + "\n", EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Collection[str] | None = None) -> argparse.ArgumentParser:
+    """The parser with subparsers for ``commands`` only (all by default); its usage
+    line names every subcommand either way, so it prints as the full parser does."""
+    commands = _COMMANDS if commands is None else commands
     parser = _Parser(
         prog="archdeps",
         description="Component data-dependency analysis of layered architectures.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    every = None if set(_COMMANDS) <= set(commands) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=every)
 
-    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, **kwargs) -> argparse.ArgumentParser | None:
+        if name not in commands:
+            return None
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if name != "fixture":
@@ -88,44 +95,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("validate", help="run all well-formedness predicates")
 
-    p = add("sources", help="dependency set of one component on a level")
-    p.add_argument("--level", required=True)
-    p.add_argument("--component", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--direct", action="store_true", help="direct sources only")
-    mode.add_argument("--acc", action="store_true", help="transitive accessors")
-    mode.add_argument("--dacc", action="store_true", help="direct accessors")
+    if p := add("sources", help="dependency set of one component on a level"):
+        p.add_argument("--level", required=True)
+        p.add_argument("--component", required=True)
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--direct", action="store_true", help="direct sources only")
+        mode.add_argument("--acc", action="store_true", help="transitive accessors")
+        mode.add_argument("--dacc", action="store_true", help="direct accessors")
 
-    p = add("slice", help="minimal component set for a channel property")
-    p.add_argument("--level", required=True)
-    p.add_argument("--channels", required=True, help="comma-separated, no spaces")
+    if p := add("slice", help="minimal component set for a channel property"):
+        p.add_argument("--level", required=True)
+        p.add_argument("--channels", required=True, help="comma-separated, no spaces")
 
-    p = add("elementary", help="elementary classification of a level")
-    p.add_argument("--level", required=True)
+    if p := add("elementary", help="elementary classification of a level"):
+        p.add_argument("--level", required=True)
 
-    p = add("classify", help="classify every channel on a level")
-    p.add_argument("--level", required=True)
+    if p := add("classify", help="classify every channel on a level"):
+        p.add_argument("--level", required=True)
 
-    p = add("chan-deps", help="channel dependency set")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--transitive", action="store_true")
+    if p := add("chan-deps", help="channel dependency set"):
+        p.add_argument("--channel", required=True)
+        p.add_argument("--transitive", action="store_true")
 
-    p = add("condense", help="strongly-connected-component partition of a level")
-    p.add_argument("--level", required=True)
+    if p := add("condense", help="strongly-connected-component partition of a level"):
+        p.add_argument("--level", required=True)
 
-    p = add("optimize", help="high-load channel grouping of a level")
-    p.add_argument("--level", required=True)
+    if p := add("optimize", help="high-load channel grouping of a level"):
+        p.add_argument("--level", required=True)
 
-    p = add("check-refinement", help="check a coarse level refines a fine one")
-    p.add_argument("--fine", required=True)
-    p.add_argument("--coarse", required=True)
+    if p := add("check-refinement", help="check a coarse level refines a fine one"):
+        p.add_argument("--fine", required=True)
+        p.add_argument("--coarse", required=True)
 
-    p = add("export-dot", help="Graphviz digraph of a level")
-    p.add_argument("--level", required=True)
-    p.add_argument("-o", "--output")
+    if p := add("export-dot", help="Graphviz digraph of a level"):
+        p.add_argument("--level", required=True)
+        p.add_argument("-o", "--output")
 
-    p = add("fixture", help="emit the bundled case-study document")
-    p.add_argument("-o", "--output")
+    if p := add("fixture", help="emit the bundled case-study document"):
+        p.add_argument("-o", "--output")
 
     return parser
 
@@ -255,7 +262,9 @@ def run(argv: list[str] | None = None) -> int:
     The one place that loads a model (the document, or system S for
     ``fixture``) and that picks ``--json`` or text output.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS  # all for help and errors
+    args = build_parser(named).parse_args(argv)
     try:
         a = ingest.case_study_fixture() if args.command == "fixture" else _load(args.file)
         payload, text, code = _COMMANDS[args.command](a, args)

@@ -22,7 +22,7 @@ def out_pair_correlated(
 def out_set_correlated(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:
     """Channels fed by a variable that also feeds x."""
     a.require_channel(x)
-    return frozenset(y for v in a.chan_from_var[x] for y in a.var_to[v])
+    return frozenset().union(*map(a.var_to.__getitem__, a.chan_from_var[x]))
 
 
 def is_elementary(a: Architecture, c: ComponentId) -> bool:
@@ -37,8 +37,9 @@ def is_elementary(a: Architecture, c: ComponentId) -> bool:
     outputs = a.outputs_of(c)
     if len(outputs) == 1:
         return True
-    one_per_deps = {a.chan_from_var[x]: x for x in outputs}
-    corr = list({out_set_correlated(a, x) for x in one_per_deps.values()})
+    var_to = a.var_to  # out_set_correlated per deps set, unchecked: outputs are declared channels
+    corr = list({frozenset().union(*map(var_to.__getitem__, deps))
+                 for deps in set(map(a.chan_from_var.__getitem__, outputs))})
     return all(p & q for i, p in enumerate(corr) for q in corr[i:])
 
 

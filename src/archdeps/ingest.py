@@ -6,6 +6,7 @@ import json
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 from .model import _MEMBERS, Architecture, LevelId, ModelError, _collector_paused
 
@@ -131,21 +132,12 @@ def case_study_fixture() -> Architecture:
     return parse(path.read_text(encoding="utf-8"))
 
 
-def _array(names, pad: str) -> str:
-    # One JSON array of sorted strings, an item per line, as json.dumps(indent=2)
-    # lays it out; pad is the newline and indent of the array's own line.
-    if not names:
-        return "[]"
-    inner = pad + "  "
-    return "[" + inner + ("," + inner).join(map(_quote, sorted(names))) + pad + "]"
+class _Quoted(dict):
+    """Name -> its JSON string text; a name it lacks is quoted and stored on first use."""
 
-
-def _object(entries, pad: str) -> str:
-    # One JSON object from (key, member text) pairs already in key order.
-    if not entries:
-        return "{}"
-    inner = pad + "  "
-    return "{" + inner + ("," + inner).join(_quote(k) + ": " + v for k, v in entries) + pad + "}"
+    def __missing__(self, name: str) -> str:
+        self[name] = text = _quote(name)
+        return text
 
 
 def serialize(a: Architecture) -> str:
@@ -153,30 +145,42 @@ def serialize(a: Architecture) -> str:
 
     The bytes are those of ``json.dumps(tables, indent=2, sort_keys=True)``,
     written directly: with ``indent`` json.dumps runs its pure-Python encoder.
+    Each distinct name is quoted once per call.
     """
-    def table(mapping) -> str:
-        return _object([(k, _array(v, "\n    ")) for k, v in sorted(mapping.items())], "\n  ")
+    quoted = _Quoted()  # the four universes hold every name of a created model
+    for names in (a.components, a.chan_from_ch, a.var_from, a.levels):
+        quoted.update(zip(names, map(_quote, names)))
+    quote = quoted.__getitem__
 
+    def arrays(sets, pad: str) -> list[str]:
+        # Each set as a JSON array of its sorted names, an item per line, as
+        # json.dumps(indent=2) lays it out; pad is the newline and indent of the array's line.
+        head, sep, tail = "[" + pad + "  ", "," + pad + "  ", pad + "]"
+        return [head + sep.join(map(quote, sorted(s))) + tail if s else "[]" for s in sets]
+
+    def obj(keys, members, pad: str) -> str:
+        # One JSON object from its sorted keys and their member texts.
+        head, sep, tail = "{" + pad + "  ", "," + pad + "  ", pad + "}"
+        pairs = map("{}: {}".format, map(quote, keys), members)
+        return head + sep.join(pairs) + tail if keys else "{}"
+
+    def table(mapping) -> str:
+        keys = sorted(mapping)
+        return obj(keys, arrays(map(mapping.__getitem__, keys), "\n    "), "\n  ")
+
+    names = sorted(a.components)
+    records = list(map(a.components.__getitem__, names))
     leaf = "\n      "
-    components = _object([
-        (name, _object([
-            ("in", _array(rec.inputs, leaf)),
-            ("out", _array(rec.outputs, leaf)),
-            ("subcomp", _array(rec.subcomponents, leaf)),
-            ("var", _array(rec.vars, leaf)),
-        ], "\n    "))
-        for name, rec in sorted(a.components.items())
+    fields = ("inputs", "outputs", "subcomponents", "vars")  # the members' key order
+    columns = (arrays(map(attrgetter(f), records), leaf) for f in fields)
+    members = {key: table(getattr(a, key)) for key in _TABLES}
+    members.update(zip(_ARRAYS, arrays(attrgetter(*_ARRAYS)(a), "\n  ")))
+    members["components"] = obj(names, [
+        f'{{{leaf}"in": {i},{leaf}"out": {o},{leaf}"subcomp": {s},{leaf}"var": {v}\n    }}'
+        for i, o, s, v in zip(*columns)
     ], "\n  ")
-    return _object([
-        ("chan_from_ch", table(a.chan_from_ch)),
-        ("chan_from_var", table(a.chan_from_var)),
-        ("components", components),
-        ("highload_channels", _array(a.highload_channels, "\n  ")),
-        ("highperf_components", _array(a.highperf_components, "\n  ")),
-        ("levels", table(a.levels)),
-        ("var_from", table(a.var_from)),
-        ("var_to", table(a.var_to)),
-    ], "\n") + "\n"
+    keys = sorted(members)
+    return obj(keys, map(members.__getitem__, keys), "\n") + "\n"
 
 
 def _dot_id(name: str) -> str:
@@ -193,12 +197,14 @@ def export_dot(a: Architecture, level: LevelId) -> str:
     """
     index = a.level_index(level)
     marks = a.highperf_marks
+    names = [*index.members, *index.producers]  # every node, and every channel an edge carries
+    ids = dict(zip(names, map(_dot_id, names)))
     lines = [f"digraph {_dot_id(level)} {{"]
     for node in sorted(index.members):
         attrs = ""
         if node in marks:
             attrs = " [fillcolor=lightgreen,style=filled]"
-        lines.append(f"  {_dot_id(node)}{attrs};")
+        lines.append(f"  {ids[node]}{attrs};")
     edges = sorted(
         (producer, consumer, chan)
         for chan, producers in index.producers.items()
@@ -206,9 +212,9 @@ def export_dot(a: Architecture, level: LevelId) -> str:
         for consumer in index.consumers.get(chan, ())
     )
     for producer, consumer, chan in edges:
-        attrs = f"label={_dot_id(chan)}"
+        attrs = f"label={ids[chan]}"
         if chan in a.highload_channels:
             attrs += ",penwidth=3,color=red"
-        lines.append(f"  {_dot_id(producer)} -> {_dot_id(consumer)} [{attrs}];")
+        lines.append(f"  {ids[producer]} -> {ids[consumer]} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

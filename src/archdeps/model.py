@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter, methodcaller
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 ComponentId = str
 ChannelId = str
@@ -57,6 +57,19 @@ class _Fields:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+class Witness(NamedTuple):
+    entities: tuple[str, ...]
+    reason: str
+
+
+class Verdict(NamedTuple):
+    witnesses: tuple[Witness, ...] = ()
+
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
 
 class ComponentRecord(_Fields):
@@ -433,10 +446,11 @@ class Architecture(_Fields):
         return {}
 
     def level_index(self, level: LevelId) -> LevelIndex:
-        """The level's producer/consumer index, built once and then reused."""
-        self.require_level(level)
+        """The level's producer/consumer index, built once and then reused; only
+        a miss checks the level, so an unknown one (never cached) still raises."""
         index = self._level_indexes.get(level)
         if index is None:
+            self.require_level(level)
             index = LevelIndex.build(self.components, self.levels[level])
             self._level_indexes[level] = index
         return index

@@ -5,8 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .deps import _feeders
-from .model import Architecture, ChannelId, ComponentId, LevelId, _post_order
-from .validate import Verdict, Witness
+from .model import Architecture, ChannelId, ComponentId, LevelId, Verdict, Witness, _post_order
 
 
 class LevelPartition(NamedTuple):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .model import Architecture, ChannelId, ComponentId, LevelId
+from .model import Architecture, ChannelId, ComponentId, LevelId, Verdict, Witness  # re-exported
 
 
 class ChannelClass(enum.Enum):
@@ -21,19 +21,6 @@ class ChannelClass(enum.Enum):
     SYSTEM_OUT = "system_out"
     LOCAL = "local"
     UNUSED = "unused"
-
-
-class Witness(NamedTuple):
-    entities: tuple[str, ...]
-    reason: str
-
-
-class Verdict(NamedTuple):
-    witnesses: tuple[Witness, ...] = ()
-
-    @property
-    def holds(self) -> bool:
-        return not self.witnesses
 
 
 class ValidationReport(NamedTuple):

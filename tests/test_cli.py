@@ -88,6 +88,10 @@ def test_startup_imports_only_the_analysis_a_subcommand_runs(model_file):
           "archdeps.slicing", "archdeps.elementary"]),
         (["slice", model_file, "--level", "level2", "--channels", "data1,data12"],
          ["dataclasses", "archdeps.validate", "archdeps.optimize", "archdeps.elementary"]),
+        (["condense", model_file, "--level", "level0"],
+         ["archdeps.validate", "archdeps.slicing", "archdeps.elementary"]),
+        (["check-refinement", model_file, "--fine", "level1", "--coarse", "level2"],
+         ["archdeps.validate", "archdeps.slicing", "archdeps.elementary"]),
     ):
         proc = subprocess.run(
             [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argv), *unused],
@@ -96,6 +100,54 @@ def test_startup_imports_only_the_analysis_a_subcommand_runs(model_file):
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [[], cli.EXIT_OK, []], argv
+
+
+def test_a_named_subcommand_builds_only_its_own_subparser(model_file, monkeypatch, capsys):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    assert cli.run(["sources", model_file, "--level", "level0", "--component", "sA8"]) == cli.EXIT_OK
+    assert built == ["archdeps", "archdeps sources"]
+    capsys.readouterr()
+
+
+# Enough arguments for each subcommand to parse, so one more is left unrecognized.
+_PARSING_ARGV = {
+    "validate": ["f.json"],
+    "sources": ["f.json", "--level", "L", "--component", "c"],
+    "slice": ["f.json", "--level", "L", "--channels", "x"],
+    "elementary": ["f.json", "--level", "L"],
+    "classify": ["f.json", "--level", "L"],
+    "chan-deps": ["f.json", "--channel", "x"],
+    "condense": ["f.json", "--level", "L"],
+    "optimize": ["f.json", "--level", "L"],
+    "check-refinement": ["f.json", "--fine", "L", "--coarse", "M"],
+    "export-dot": ["f.json", "--level", "L"],
+    "fixture": [],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_subcommand_parser_prints_as_the_full_parser(command):
+    assert set(_PARSING_ARGV) == set(cli._COMMANDS)
+
+    def parse(parser, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(argv)
+        return excinfo.value.code, out.getvalue(), err.getvalue()
+
+    for argv in ([command, "--help"], [command, "--bogus"],
+                 [command, *_PARSING_ARGV[command], "extra"]):
+        full = parse(cli.build_parser(), argv)
+        assert parse(cli.build_parser([command]), argv) == full, argv
+        assert full[0] in (cli.EXIT_OK, cli.EXIT_USAGE) and (full[1] or full[2])
 
 
 def test_validate_violation_exit_code(tmp_path, capsys):

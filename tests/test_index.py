@@ -1,8 +1,10 @@
 import gc
 import time
 
+import pytest
+
 from archdeps import deps, ingest, optimize, slicing, validate
-from archdeps.model import Architecture, LevelIndex
+from archdeps.model import Architecture, LevelIndex, UnknownIdentifierError
 
 from .conftest import to_tables
 
@@ -27,6 +29,15 @@ def test_level_index_is_built_once_on_first_use():
     first = a.level_index("L0")
     assert first is a.level_index("L0")
     assert first == LevelIndex.build(a.components, a.levels["L0"])
+
+
+def test_level_index_of_unknown_level_raises_after_every_level_is_cached(arch):
+    a = Architecture.create(**to_tables(arch))
+    for level in a.levels:
+        a.level_index(level)
+    with pytest.raises(UnknownIdentifierError):
+        a.level_index("level9")
+    assert "level9" not in a._level_indexes
 
 
 def test_level_index_takes_no_part_in_equality(arch):

@@ -126,10 +126,33 @@ def architectures(draw):
 @given(architectures())
 @example(Architecture.create())
 @example(case_study_fixture())
+@example(Architecture.create(  # "n" names a component, channel, variable and level: one quote table
+    components={"n": {"in": ["n"], "var": ["n"]}, 'q"': {"out": ["n"], "subcomp": ["n"]}},
+    levels={"n": ["n"]}, chan_from_var={"n": ["n"]}, var_to={"n": ["n"]},
+))
 def test_serialize_bytes_match_json_dumps(a):
     expected = json.dumps(to_tables(a), indent=2, sort_keys=True) + "\n"
     assert ingest.serialize(a) == expected
     assert ingest.parse(expected) == a
+
+
+def test_serialize_ignores_dict_order(arch):
+    # The same tables, every dict built in reverse key order, through the bare constructor.
+    def reverse(mapping):
+        return {k: mapping[k] for k in reversed(list(mapping))}
+
+    tables = {name: reverse(getattr(arch, name)) for name in
+              ("components", "levels", "chan_from_ch", "chan_from_var", "var_from", "var_to")}
+    rebuilt = Architecture(**tables, highload_channels=arch.highload_channels,
+                           highperf_components=arch.highperf_components)
+    assert list(rebuilt.components) != list(arch.components)
+    assert ingest.serialize(rebuilt) == ingest.serialize(arch)
+
+
+def test_serialize_quotes_a_name_outside_the_universes():
+    # A hand-built model may name what no table keys: it still serializes.
+    a = Architecture({}, {}, {}, {}, {}, {}, frozenset({"stray"}), frozenset())
+    assert '"highload_channels": [\n    "stray"\n  ]' in ingest.serialize(a)
 
 
 def test_export_dot_level0(arch):
