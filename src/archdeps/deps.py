@@ -6,6 +6,8 @@ that level; the result is the empty set, not an error.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .model import Architecture, ChannelId, ComponentId, LevelId, LevelIndex, VariableId
 
 
@@ -38,25 +40,24 @@ def dacc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[Component
     return frozenset(_readers(a, index, c)) if index else frozenset()
 
 
-def _closure(a: Architecture, links, side: str, start) -> frozenset[ComponentId]:
-    # Multi-source walk: start plus every component reached from it by
-    # following the `side` channels of each reached component to the
-    # components `links` lists for them. All of them lie on the level.
-    records = a.components
+def _closure(links, start) -> frozenset[ComponentId]:
+    # Multi-source walk: start plus every component reached from it through
+    # the component tuples `links` (a level index's feeders or readers) lists
+    # for each reached component. All of them lie on the level.
     seen: set[ComponentId] = set(start)
     todo = list(seen)
     while todo:
-        for x in getattr(records[todo.pop()], side):
-            for z in links.get(x, ()):
+        for t in links[todo.pop()]:
+            for z in t:
                 if z not in seen:
                     seen.add(z)
                     todo.append(z)
     return frozenset(seen)
 
 
-def upstream(a: Architecture, index: LevelIndex, start) -> frozenset[ComponentId]:
+def upstream(index: LevelIndex, start) -> frozenset[ComponentId]:
     """start (components on the index's level) plus everything feeding it."""
-    return _closure(a, index.producers, "inputs", start)
+    return _closure(index.feeders, start)
 
 
 def sources(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
@@ -65,7 +66,10 @@ def sources(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[Compon
     c itself belongs to the result only when it lies on a cycle.
     """
     index = _index_on(a, level, c)
-    return upstream(a, index, _feeders(a, index, c)) if index else frozenset()
+    if not index:
+        return frozenset()
+    feeders = index.feeders
+    return _closure(feeders, chain.from_iterable(feeders[c]))
 
 
 def acc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
@@ -73,7 +77,8 @@ def acc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentI
     index = _index_on(a, level, c)
     if not index:
         return frozenset()
-    return _closure(a, index.consumers, "outputs", _readers(a, index, c))
+    readers = index.readers
+    return _closure(readers, chain.from_iterable(readers[c]))
 
 
 def is_not_dsource(a: Architecture, level: LevelId, s: ComponentId) -> bool:
@@ -103,19 +108,24 @@ def chan_direct_deps(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:
 
 def chan_transitive_deps(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:
     """All channels x depends on through any chain of direct dependencies, x
-    itself only when it lies on a cycle. Each variable is expanded once."""
+    itself only when it lies on a cycle. A depth-first walk over the channels
+    that expands each variable once."""
     a.require_channel(x)
+    from_ch, from_var, var_from = a.chan_from_ch, a.chan_from_var, a.var_from
     seen: set[ChannelId] = set()
     expanded: set[VariableId] = set()
-    frontier = {x}
-    while frontier:
-        reached: set[ChannelId] = set()
-        for y in frontier:
-            reached |= a.chan_from_ch[y]
-            for v in a.chan_from_var[y]:
-                if v not in expanded:
-                    expanded.add(v)
-                    reached |= a.var_from[v]
-        frontier = reached - seen
-        seen |= frontier
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        for z in from_ch[y]:
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+        for v in from_var[y]:
+            if v not in expanded:
+                expanded.add(v)
+                for z in var_from[v]:
+                    if z not in seen:
+                        seen.add(z)
+                        todo.append(z)
     return frozenset(seen)

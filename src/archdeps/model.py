@@ -3,7 +3,10 @@
 All dependency tables are total mappings: an identifier without an explicit
 entry maps to the empty set. Identifier universes are closed once an
 Architecture is constructed. Model objects are equal by field and unhashable;
-their fields are not write-protected, and the package never writes them.
+their fields are not write-protected, and the package never writes them. The
+cached indexes, and each level index's feeder and reader maps, are built from
+the fields on first use, so a field written after that leaves later answers
+stale.
 """
 
 from __future__ import annotations
@@ -200,15 +203,25 @@ class LevelIndex(_Fields):
     the level touches has no entry. Building it costs one pass over the
     level's channel incidences; every level analysis reads it in place of a
     scan of the level.
+
+    ``feeders[c]`` and ``readers[c]``, for each member c, are the
+    ``producers[x]`` tuples of c's inputs and the ``consumers[x]`` tuples of
+    c's outputs that exist: references to the index's own tuples, so each
+    map's length is at most the level's incidences on its side. Each map is
+    built in one pass over the members on first use and takes no part in
+    ==, repr or serialization.
     """
 
     members: frozenset[ComponentId]
     producers: Mapping[ChannelId, tuple[ComponentId, ...]]
     consumers: Mapping[ChannelId, tuple[ComponentId, ...]]
-    _fields = __slots__ = tuple(__annotations__)
+    _fields = tuple(__annotations__)
+    __slots__ = (*_fields, "_components", "_feeders", "_readers")
 
-    def __init__(self, members, producers, consumers) -> None:
+    def __init__(self, members, producers, consumers, components) -> None:
         self.members, self.producers, self.consumers = members, producers, consumers
+        self._components = components
+        self._feeders = self._readers = None
 
     @classmethod
     @_collector_paused()
@@ -222,7 +235,26 @@ class LevelIndex(_Fields):
             members=members,
             producers=_inverse((c, rec.outputs) for c, rec in records),
             consumers=_inverse((c, rec.inputs) for c, rec in records),
+            components=components,
         )
+
+    @property
+    def feeders(self) -> Mapping[ComponentId, tuple[tuple[ComponentId, ...], ...]]:
+        if self._feeders is None:
+            self._feeders = self._links(self.producers, "inputs")
+        return self._feeders
+
+    @property
+    def readers(self) -> Mapping[ComponentId, tuple[tuple[ComponentId, ...], ...]]:
+        if self._readers is None:
+            self._readers = self._links(self.consumers, "outputs")
+        return self._readers
+
+    @_collector_paused()
+    def _links(self, table, side: str) -> dict[ComponentId, tuple[tuple[ComponentId, ...], ...]]:
+        get, channels = table.get, attrgetter(side)
+        components = self._components
+        return {c: tuple(filter(None, map(get, channels(components[c])))) for c in self.members}
 
 
 class HierarchyIndex(_Fields):

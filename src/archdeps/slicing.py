@@ -53,7 +53,7 @@ def min_set_of_components(
     """Producers of the property channels plus everything feeding them."""
     chset = _require_channels(a, chset)
     index = a.level_index(level)
-    return upstream(a, index, _out_set(index, chset))
+    return upstream(index, _out_set(index, chset))
 
 
 def no_irrelevant_channels(a: Architecture, level: LevelId, chset) -> bool:
@@ -74,8 +74,8 @@ def slice_report(a: Architecture, level: LevelId, chset) -> SliceReport:
     chset = _require_channels(a, chset)
     index = a.level_index(level)
     out_set = _out_set(index, chset)
-    min_set = upstream(a, index, out_set)
-    producers = index.producers
+    min_set = upstream(index, out_set)
+    producers, feeders, components = index.producers, index.feeders, a.components
     system_inputs = frozenset(x for x in chset if x in index.consumers and x not in producers)
     return SliceReport(
         level=level,
@@ -85,11 +85,10 @@ def slice_report(a: Architecture, level: LevelId, chset) -> SliceReport:
         no_irrelevant=all(
             any(z in min_set for z in index.consumers[x]) for x in system_inputs
         ),
-        # z consumes each of its inputs, so an input is a system input
-        # exactly when nothing on the level produces it.
+        # z has an input produced on the level exactly when its feeders entry
+        # is non-empty; otherwise one of its inputs must be listed.
         all_needed=all(
-            any(x in producers or x in chset for x in a.components[z].inputs)
-            for z in min_set
+            feeders[z] or not chset.isdisjoint(components[z].inputs) for z in min_set
         ),
         system_inputs_in_property=system_inputs,
     )

@@ -102,6 +102,18 @@ def random_architecture(rng: random.Random, max_components: int = 12, max_channe
     )
 
 
+def hub(k: int) -> Architecture:
+    """One level, L0, of 2k components around one channel, ``hub``: p{i}
+    outputs it and inputs y{i}; q{i} inputs it and outputs y{i}. Every
+    component reaches every other, so the level is one cycle class."""
+    producers = {f"p{i}": {"in": [f"y{i}"], "out": ["hub"]} for i in range(k)}
+    consumers = {f"q{i}": {"in": ["hub"], "out": [f"y{i}"]} for i in range(k)}
+    return Architecture.create(
+        components={**producers, **consumers},
+        levels={"L0": [*producers, *consumers]},
+    )
+
+
 def reachability_pairs(edges) -> set:
     """Brute-force transitive closure: iterate relation composition to fixpoint."""
     pairs = set(edges)

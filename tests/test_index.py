@@ -3,10 +3,10 @@ import time
 
 import pytest
 
-from archdeps import deps, ingest, optimize, slicing, validate
+from archdeps import cli, deps, ingest, optimize, slicing, validate
 from archdeps.model import Architecture, LevelIndex, UnknownIdentifierError
 
-from .conftest import to_tables
+from .conftest import hub, to_tables
 
 
 def test_level_index_producers_and_consumers(arch):
@@ -47,6 +47,91 @@ def test_level_index_takes_no_part_in_equality(arch):
     assert arch == ingest.parse(ingest.serialize(arch))
     assert arch == fresh and fresh == arch
     assert ingest.serialize(fresh) == ingest.serialize(arch)
+
+
+def count_link_builds(monkeypatch) -> list:
+    """Record the side of every feeders or readers map built from now on."""
+    built = []
+    links = LevelIndex._links
+
+    def counting(self, table, side):
+        built.append(side)
+        return links(self, table, side)
+
+    monkeypatch.setattr(LevelIndex, "_links", counting)
+    return built
+
+
+def test_link_maps_hold_the_index_tuples(arch):
+    for level in arch.levels:
+        index = arch.level_index(level)
+        for side, table, maps in (
+            ("inputs", index.producers, index.feeders),
+            ("outputs", index.consumers, index.readers),
+        ):
+            assert set(maps) == index.members
+            for c in index.members:
+                channels = getattr(arch.components[c], side)
+                assert sorted(map(id, maps[c])) == sorted(
+                    id(table[x]) for x in channels if x in table
+                )
+
+
+def test_direct_queries_and_condense_build_no_link_map(arch, tmp_path, monkeypatch, capsys):
+    model_file = tmp_path / "system_s.json"
+    model_file.write_text(ingest.serialize(arch), encoding="utf-8")
+    built = count_link_builds(monkeypatch)
+    fresh = Architecture.create(**to_tables(arch))
+    for level, members in fresh.levels.items():
+        for c in members:
+            deps.dsources(fresh, level, c)
+            deps.dacc(fresh, level, c)
+        optimize.condense_level(fresh, level)
+    assert cli.run(
+        ["sources", str(model_file), "--level", "level0", "--component", "sA8", "--direct"]
+    ) == cli.EXIT_OK
+    assert capsys.readouterr().out == "sA7 sA9\n"
+    assert built == []
+
+
+def test_first_transitive_query_builds_the_link_map_once(arch, monkeypatch):
+    built = count_link_builds(monkeypatch)
+    fresh = Architecture.create(**to_tables(arch))
+    index = fresh.level_index("level2")
+    deps.sources(fresh, "level2", "sS4")
+    assert built == ["inputs"]
+    feeders = index.feeders
+    slicing.slice_report(fresh, "level2", ["data2"])
+    slicing.min_set_of_components(fresh, "level2", ["data2"])
+    deps.sources(fresh, "level2", "sS3")
+    assert index.feeders is feeders
+    deps.acc(fresh, "level2", "sS2")
+    readers = index.readers
+    deps.acc(fresh, "level2", "sS4")
+    assert index.readers is readers
+    assert built == ["inputs", "outputs"]
+
+
+def test_link_maps_take_no_part_in_equality_or_repr(arch):
+    fresh = Architecture.create(**to_tables(arch))
+    index = fresh.level_index("level2")
+    bare = LevelIndex.build(fresh.components, fresh.levels["level2"])
+    index.feeders, index.readers
+    assert index == bare and bare == index
+    assert repr(index) == repr(bare)
+
+
+def test_transitive_queries_on_2000_hub():
+    k = 2_000
+    a = hub(k)
+    index = a.level_index("L0")
+    for query, c in ((deps.sources, "q0"), (deps.acc, "p0")):
+        start = time.perf_counter()
+        result = query(a, "L0", c)
+        assert time.perf_counter() - start < 1.0
+        assert result == index.members and len(result) == 2 * k
+    incidences = sum(len(rec.inputs) + len(rec.outputs) for rec in a.components.values())
+    assert sum(map(len, index.feeders.values())) + sum(map(len, index.readers.values())) <= incidences
 
 
 def chain(n: int) -> Architecture:

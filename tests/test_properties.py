@@ -24,11 +24,13 @@ def build(seed: int):
 
 
 def dependency_edges(a, level):
+    """(s, c) for level members where an output of s is an input of c."""
     members = a.level_components(level)
     return {
         (s, c)
+        for s in members
         for c in members
-        for s in deps.dsources(a, level, c)
+        if a.outputs_of(s) & a.inputs_of(c)
     }
 
 
@@ -136,6 +138,31 @@ def test_channel_classification_is_exclusive(seed):
                 (False, False): validate.ChannelClass.UNUSED,
             }[(consumed, produced)]
             assert kind is expected
+
+
+@given(seeds, seeds)
+def test_slice_verdicts_match_their_definitions(seed, pick):
+    a = build(seed)
+    rng = random.Random(pick)
+    channels = sorted(a.chan_from_ch)
+    for level in a.levels:
+        members = a.level_components(level)
+        chset = set(rng.sample(channels, rng.randint(0, len(channels))))
+        report = slicing.slice_report(a, level, chset)
+        produced = set().union(*map(a.outputs_of, members))
+        consumed = set().union(*map(a.inputs_of, members))
+        out = {c for c in members if a.outputs_of(c) & chset}
+        closure = reachability_pairs(dependency_edges(a, level))
+        min_set = out | {s for (s, t) in closure if t in out}
+        system_inputs = {x for x in chset if x in consumed and x not in produced}
+        assert report.min_components == min_set
+        assert report.system_inputs_in_property == system_inputs
+        assert report.no_irrelevant == all(
+            any(x in a.inputs_of(z) for z in min_set) for x in system_inputs
+        )
+        assert report.all_needed == all(
+            any(x in produced or x in chset for x in a.inputs_of(z)) for z in min_set
+        )
 
 
 @given(seeds)
