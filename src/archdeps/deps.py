@@ -66,10 +66,7 @@ def sources(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[Compon
     c itself belongs to the result only when it lies on a cycle.
     """
     index = _index_on(a, level, c)
-    if not index:
-        return frozenset()
-    feeders = index.feeders
-    return _closure(feeders, chain.from_iterable(feeders[c]))
+    return upstream(index, chain.from_iterable(index.feeders[c])) if index else frozenset()
 
 
 def acc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
@@ -77,8 +74,7 @@ def acc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentI
     index = _index_on(a, level, c)
     if not index:
         return frozenset()
-    readers = index.readers
-    return _closure(readers, chain.from_iterable(readers[c]))
+    return _closure(index.readers, chain.from_iterable(index.readers[c]))
 
 
 def is_not_dsource(a: Architecture, level: LevelId, s: ComponentId) -> bool:
