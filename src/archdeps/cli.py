@@ -20,6 +20,8 @@ EXIT_USAGE = 64
 # What a subcommand returns: JSON payload (None when the text is the answer
 # in both modes), text output and exit code.
 _Result = tuple[dict | None, str, int]
+# A name in a message may hold a line break; write it as an escape so an error stays one line.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -273,7 +275,7 @@ def run(argv: list[str] | None = None) -> int:
         _emit(text, getattr(args, "output", None))
         return code
     except (ModelError, OSError) as exc:
-        print(f"archdeps: error: {exc}", file=sys.stderr)
+        print(f"archdeps: error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return EXIT_ERROR
 
 

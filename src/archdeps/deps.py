@@ -11,16 +11,6 @@ from itertools import chain
 from .model import Architecture, ChannelId, ComponentId, LevelId, LevelIndex, VariableId
 
 
-def _feeders(a: Architecture, index: LevelIndex, c: ComponentId) -> set[ComponentId]:
-    producers = index.producers
-    return {z for x in a.components[c].inputs for z in producers.get(x, ())}
-
-
-def _readers(a: Architecture, index: LevelIndex, c: ComponentId) -> set[ComponentId]:
-    consumers = index.consumers
-    return {z for x in a.components[c].outputs for z in consumers.get(x, ())}
-
-
 def _index_on(a: Architecture, level: LevelId, c: ComponentId) -> LevelIndex | None:
     # The level's index, or None when c (a known component) is not on it.
     index = a.level_index(level)
@@ -31,13 +21,13 @@ def _index_on(a: Architecture, level: LevelId, c: ComponentId) -> LevelIndex | N
 def dsources(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
     """Components on the level whose output is wired directly into c."""
     index = _index_on(a, level, c)
-    return frozenset(_feeders(a, index, c)) if index else frozenset()
+    return frozenset(chain.from_iterable(index.feeders[c])) if index else frozenset()
 
 
 def dacc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
     """Components on the level directly consuming an output of c."""
     index = _index_on(a, level, c)
-    return frozenset(_readers(a, index, c)) if index else frozenset()
+    return frozenset(chain.from_iterable(index.readers[c])) if index else frozenset()
 
 
 def _closure(links, start) -> frozenset[ComponentId]:

@@ -4,9 +4,10 @@ All dependency tables are total mappings: an identifier without an explicit
 entry maps to the empty set. Identifier universes are closed once an
 Architecture is constructed. Model objects are equal by field and unhashable;
 their fields are not write-protected, and the package never writes them. The
-cached indexes, and each level index's feeder and reader maps, are built from
-the fields on first use, so a field written after that leaves later answers
-stale.
+level indexes with their feeder and reader maps, the document-wide tables
+(``parents``, ``levels_of``, ``producers``, ``targeted_by``, ``finest_first``)
+and ``highperf_marks`` are built from the fields on first use, so a field
+written after that leaves later answers stale.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ class ModelError(Exception):
 
 
 class InvalidIdentifierError(ModelError):
-    """An identifier token is empty or contains whitespace or a comma.
+    """An identifier token is empty or contains whitespace, a comma or a
+    lone surrogate.
 
-    Commas are excluded because the CLI takes channel lists comma-separated.
+    Commas are excluded because the CLI takes channel lists comma-separated;
+    surrogates (U+D800-U+DFFF) because no UTF-8 output can write them.
     """
 
 
@@ -89,7 +92,7 @@ class ComponentRecord(_Fields):
         self.subcomponents = subcomponents
 
 
-_SEPARATOR = re.compile(r"[\s,]")  # no identifier holds one; \s is what str.isspace accepts
+_SEPARATOR = re.compile(r"[\s,\ud800-\udfff]")  # no identifier holds one; \s as in str.isspace
 _EMPTY: frozenset = frozenset()  # the one object behind every empty member and table entry
 _MEMBERS = ("in", "out", "var", "subcomp")
 # Where a collection of names belongs, a string would split into one-character
@@ -207,21 +210,20 @@ class LevelIndex(_Fields):
     ``feeders[c]`` and ``readers[c]``, for each member c, are the
     ``producers[x]`` tuples of c's inputs and the ``consumers[x]`` tuples of
     c's outputs that exist: references to the index's own tuples, so each
-    map's length is at most the level's incidences on its side. Each map is
-    built in one pass over the members on first use and takes no part in
-    ==, repr or serialization.
+    map's length is at most the level's incidences on its side. They are the
+    level's one component adjacency, which every direct and transitive
+    query and ``condense`` read. Each map is built in one pass over the
+    members on first use and takes no part in ==, repr or serialization.
     """
 
     members: frozenset[ComponentId]
     producers: Mapping[ChannelId, tuple[ComponentId, ...]]
     consumers: Mapping[ChannelId, tuple[ComponentId, ...]]
     _fields = tuple(__annotations__)
-    __slots__ = (*_fields, "_components", "_feeders", "_readers")
 
     def __init__(self, members, producers, consumers, components) -> None:
         self.members, self.producers, self.consumers = members, producers, consumers
         self._components = components
-        self._feeders = self._readers = None
 
     @classmethod
     @_collector_paused()
@@ -238,17 +240,13 @@ class LevelIndex(_Fields):
             components=components,
         )
 
-    @property
+    @cached_property
     def feeders(self) -> Mapping[ComponentId, tuple[tuple[ComponentId, ...], ...]]:
-        if self._feeders is None:
-            self._feeders = self._links(self.producers, "inputs")
-        return self._feeders
+        return self._links(self.producers, "inputs")
 
-    @property
+    @cached_property
     def readers(self) -> Mapping[ComponentId, tuple[tuple[ComponentId, ...], ...]]:
-        if self._readers is None:
-            self._readers = self._links(self.consumers, "outputs")
-        return self._readers
+        return self._links(self.consumers, "outputs")
 
     @_collector_paused()
     def _links(self, table, side: str) -> dict[ComponentId, tuple[tuple[ComponentId, ...], ...]]:
@@ -257,54 +255,14 @@ class LevelIndex(_Fields):
         return {c: tuple(filter(None, map(get, channels(components[c])))) for c in self.members}
 
 
-class HierarchyIndex(_Fields):
-    """The subcomponent hierarchy and the document-wide channel tables.
-
-    ``parents[c]``: every component, on a level or not, with c as a
-    subcomponent. ``levels_of[c]``: the levels c is on. ``producers[x]``:
-    every component, on a level or not, with x among its outputs.
-    ``targeted_by[x]``: the variables whose ``var_to`` holds x. All in name
-    order; a missing key means none. ``finest_first``: the levels by the
-    largest subcomponent height among their members (an undecomposed
-    component has height 0), ties by name.
-    """
-
-    parents: Mapping[ComponentId, tuple[ComponentId, ...]]
-    levels_of: Mapping[ComponentId, tuple[LevelId, ...]]
-    producers: Mapping[ChannelId, tuple[ComponentId, ...]]
-    targeted_by: Mapping[ChannelId, tuple[VariableId, ...]]
-    finest_first: tuple[LevelId, ...]
-    _fields = __slots__ = tuple(__annotations__)
-
-    def __init__(self, parents, levels_of, producers, targeted_by, finest_first) -> None:
-        self.parents, self.levels_of, self.producers = parents, levels_of, producers
-        self.targeted_by, self.finest_first = targeted_by, finest_first
-
-    @classmethod
-    @_collector_paused()
-    def build(cls, a: "Architecture") -> "HierarchyIndex":
-        components, levels = a.components, a.levels
-        height: dict[ComponentId, int] = {}
-        for c in _post_order(components, components):
-            height[c] = 1 + max((height[s] for s in components[c].subcomponents), default=-1)
-        return cls(
-            parents=_inverse((c, components[c].subcomponents) for c in sorted(components)),
-            levels_of=_inverse((lvl, levels[lvl]) for lvl in sorted(levels)),
-            producers=_inverse((c, components[c].outputs) for c in sorted(components)),
-            targeted_by=_inverse((v, a.var_to[v]) for v in sorted(a.var_to)),
-            finest_first=tuple(sorted(
-                levels, key=lambda lvl: (max((height[c] for c in levels[lvl]), default=0), lvl)
-            )),
-        )
-
-
 class Architecture(_Fields):
     """Complete, validated analysis input.
 
     Construct through :meth:`create`, which normalizes the tables and
-    enforces referential closure and subcomponent acyclicity. The cached
-    indexes live in the instance ``__dict__``, outside the fields, so they
-    take no part in ==, repr or serialization.
+    enforces referential closure and subcomponent acyclicity. The level
+    indexes and the document-wide tables are cached in the instance
+    ``__dict__``, outside the fields, so they take no part in ==, repr or
+    serialization.
     """
 
     components: Mapping[ComponentId, ComponentRecord]
@@ -487,21 +445,55 @@ class Architecture(_Fields):
             self._level_indexes[level] = index
         return index
 
+    # -- document-wide tables (each built on first use, not a field) --------
+    # Each mapping lists its values in name order; a missing key means none.
+
     @cached_property
-    def hierarchy_index(self) -> HierarchyIndex:
-        """The hierarchy index, built on first use and cached like the level indexes."""
-        return HierarchyIndex.build(self)
+    @_collector_paused()
+    def parents(self) -> Mapping[ComponentId, tuple[ComponentId, ...]]:
+        """Every component, on a level or not, with the key as a subcomponent."""
+        return _inverse((c, rec.subcomponents) for c, rec in self.components.items())
+
+    @cached_property
+    @_collector_paused()
+    def levels_of(self) -> Mapping[ComponentId, tuple[LevelId, ...]]:
+        """The levels each component is on."""
+        return _inverse(self.levels.items())
+
+    @cached_property
+    @_collector_paused()
+    def producers(self) -> Mapping[ChannelId, tuple[ComponentId, ...]]:
+        """Every component, on a level or not, with the key among its outputs."""
+        return _inverse((c, rec.outputs) for c, rec in self.components.items())
+
+    @cached_property
+    @_collector_paused()
+    def targeted_by(self) -> Mapping[ChannelId, tuple[VariableId, ...]]:
+        """The variables whose ``var_to`` holds the key."""
+        return _inverse(self.var_to.items())
+
+    @cached_property
+    @_collector_paused()
+    def finest_first(self) -> tuple[LevelId, ...]:
+        """The levels by the largest subcomponent height among their members
+        (an undecomposed component has height 0), ties by name."""
+        components, levels = self.components, self.levels
+        height: dict[ComponentId, int] = {}
+        for c in _post_order(components, components):
+            height[c] = 1 + max((height[s] for s in components[c].subcomponents), default=-1)
+        return tuple(sorted(
+            levels, key=lambda lvl: (max((height[c] for c in levels[lvl]), default=0), lvl)
+        ))
 
     @cached_property
     @_collector_paused()
     def highperf_marks(self) -> frozenset[ComponentId]:
         """The high-performance components and every component above one.
 
-        Built on first use, in one walk up the subcomponent edges from the
-        marked components, and cached like the indexes.
+        Built on first use, in one walk up ``parents`` from the marked
+        components, and cached like the tables.
         """
-        # hierarchy_index.parents again, so condense, optimize and export-dot never build that index.
-        parents = _inverse((c, rec.subcomponents) for c, rec in self.components.items())
+        parents = self.parents
         marked = set(self.highperf_components)
         todo = list(marked)
         while todo:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
-from .deps import _feeders
 from .model import Architecture, ChannelId, ComponentId, LevelId, Verdict, Witness, _post_order
 
 
@@ -45,7 +45,7 @@ def condense_level(a: Architecture, level: LevelId) -> LevelPartition:
 
     Tarjan's algorithm with a stack of feeder iterators, so long paths meet
     no recursion limit."""
-    index = a.level_index(level)
+    feeders = a.level_index(level).feeders
     number: dict[ComponentId, int] = {}
     lowlink: dict[ComponentId, int] = {}
     stack: list[ComponentId] = []
@@ -56,15 +56,15 @@ def condense_level(a: Architecture, level: LevelId) -> LevelPartition:
         number[c] = lowlink[c] = len(number)
         stack.append(c)
         on_stack.add(c)
-        return c, iter(_feeders(a, index, c))
+        return c, chain.from_iterable(feeders[c])
 
-    for root in sorted(index.members):
+    for root in sorted(feeders):
         if root in number:
             continue
         work = [enter(root)]
         while work:
-            node, feeders = work[-1]
-            child = next(feeders, None)
+            node, pending = work[-1]
+            child = next(pending, None)
             if child is None:
                 work.pop()
                 if work:

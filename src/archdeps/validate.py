@@ -3,8 +3,9 @@
 Each predicate is written once, as a generator of the witnesses that
 violate it among the entities it is given. ``validate_all`` runs each over
 its whole universe; the public boolean functions run it over one entity
-(or the whole document) and hold when it yields nothing. They read
-``Architecture.hierarchy_index`` in place of scans; only
+(or the whole document) and hold when it yields nothing. They read the
+document-wide tables of ``Architecture`` (``parents``, ``levels_of``,
+``producers``, ``targeted_by``, ``finest_first``) in place of scans; only
 ``classify_channel`` reads a level index.
 """
 
@@ -35,7 +36,7 @@ Witnesses = Iterator[Witness]
 
 
 def _composition_diff_levels(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
-    levels_of = a.hierarchy_index.levels_of
+    levels_of = a.levels_of
     for c in comps:
         subs = a.components[c].subcomponents
         if subs and any(not subs.isdisjoint(a.levels[lvl]) for lvl in levels_of.get(c, ())):
@@ -61,7 +62,7 @@ def _two_owners_on_one_level(
     a: Architecture, owners_of: Mapping[str, tuple[ComponentId, ...]], names: Iterable[str], what: str
 ) -> Witnesses:
     # The owners are distinct, so a level listed twice among their levels holds two of them.
-    levels_of = a.hierarchy_index.levels_of
+    levels_of = a.levels_of
     for n in names:
         owners = owners_of.get(n, ())
         if len(owners) > 1:
@@ -71,52 +72,50 @@ def _two_owners_on_one_level(
 
 
 def _composition_out(a: Architecture, chans: Iterable[ChannelId]) -> Witnesses:
-    return _two_owners_on_one_level(a, a.hierarchy_index.producers, chans, "produced by")
+    return _two_owners_on_one_level(a, a.producers, chans, "produced by")
 
 
 def _composition_subcomp(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
-    return _two_owners_on_one_level(a, a.hierarchy_index.parents, comps, "a subcomponent of")
+    return _two_owners_on_one_level(a, a.parents, comps, "a subcomponent of")
 
 
 def _unused_components(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
-    levels_of = a.hierarchy_index.levels_of
+    levels_of = a.levels_of
     for c in comps:
         if c not in levels_of:
             yield Witness((c,), f"{c} appears on no abstraction level")
 
 
-def _outfromch(a: Architecture, chans: Iterable[ChannelId]) -> Witnesses:
-    producers = a.hierarchy_index.producers
+def _deps_outside_producers(a: Architecture, chans: Iterable[ChannelId], field: str) -> Witnesses:
+    # A channel's chan_from_ch (for "inputs") or chan_from_var (for "vars")
+    # must lie inside that field of one of its producers.
+    if field == "inputs":
+        table, what = a.chan_from_ch, "consumes the deps"
+    else:
+        table, what = a.chan_from_var, "owns the variables"
+    producers = a.producers
     for x in chans:
-        dep = a.chan_from_ch[x]
-        if dep and not any(dep <= a.components[z].inputs for z in producers.get(x, ())):
-            yield Witness((x,), f"no component consumes the deps of {x} and produces it")
-
-
-def _outfromv1(a: Architecture, chans: Iterable[ChannelId]) -> Witnesses:
-    producers = a.hierarchy_index.producers
-    for x in chans:
-        dep = a.chan_from_var[x]
-        if dep and not any(dep <= a.components[z].vars for z in producers.get(x, ())):
-            yield Witness((x,), f"no component owns the variables of {x} and produces it")
+        dep = table[x]
+        if dep and not any(dep <= getattr(a.components[z], field) for z in producers.get(x, ())):
+            yield Witness((x,), f"no component {what} of {x} and produces it")
 
 
 def _outfromv2(a: Architecture, chans: Iterable[ChannelId]) -> Witnesses:
-    targeted_by = a.hierarchy_index.targeted_by
+    targeted_by = a.targeted_by
     for x in chans:
         if not a.chan_from_var[x] and x in targeted_by:
             yield Witness((x,), f"{x} has no variable deps yet is a variable target")
 
 
 def _varto_mismatches(a: Architecture) -> Witnesses:
-    targeted_by = a.hierarchy_index.targeted_by
+    targeted_by = a.targeted_by
     for x in sorted(a.chan_from_var):
         for v in sorted(a.chan_from_var[x].symmetric_difference(targeted_by.get(x, ()))):
             yield Witness((x, v), f"chan_from_var/var_to disagree on ({x}, {v})")
 
 
 def _default_level_pair(a: Architecture) -> tuple[LevelId, ...]:
-    return a.hierarchy_index.finest_first[:2]
+    return a.finest_first[:2]
 
 
 def _fine_var_escapes(
@@ -178,13 +177,13 @@ def all_components_used(a: Architecture) -> bool:
 def outfromch_correct(a: Architecture, x: ChannelId) -> bool:
     """Channel-level deps of x are witnessed by a producing component."""
     a.require_channel(x)
-    return not any(_outfromch(a, (x,)))
+    return not any(_deps_outside_producers(a, (x,), "inputs"))
 
 
 def outfromv_correct1(a: Architecture, x: ChannelId) -> bool:
     """Variable-level deps of x are witnessed by a producing component."""
     a.require_channel(x)
-    return not any(_outfromv1(a, (x,)))
+    return not any(_deps_outside_producers(a, (x,), "vars"))
 
 
 def outfromv_correct2(a: Architecture, x: ChannelId) -> bool:
@@ -246,8 +245,8 @@ _PREDICATES: dict[str, Callable[[Architecture], Witnesses]] = {
     "composition_out": lambda a: _composition_out(a, sorted(a.chan_from_ch)),
     "composition_subcomp": lambda a: _composition_subcomp(a, sorted(a.components)),
     "all_components_used": lambda a: _unused_components(a, sorted(a.components)),
-    "outfromch_correct": lambda a: _outfromch(a, sorted(a.chan_from_ch)),
-    "outfromv_correct1": lambda a: _outfromv1(a, sorted(a.chan_from_ch)),
+    "outfromch_correct": lambda a: _deps_outside_producers(a, sorted(a.chan_from_ch), "inputs"),
+    "outfromv_correct1": lambda a: _deps_outside_producers(a, sorted(a.chan_from_ch), "vars"),
     "outfromv_correct2": lambda a: _outfromv2(a, sorted(a.chan_from_ch)),
     "outfromv_varto_consistent": _varto_mismatches,
     "varfrom_correct": lambda a: _fine_var_escapes(a, None, "inputs"),

@@ -386,13 +386,45 @@ def test_comma_in_identifier_exits_one(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+SURROGATE_NAMES = {
+    "component": {"components": {"a\ud800": {"out": ["x"]}, "b": {"in": ["x"]}},
+                  "levels": {"L": ["a\ud800", "b"]}},
+    "channel": {"components": {"a": {"out": ["x\ud800"]}, "b": {"in": ["x\ud800"]}},
+                "levels": {"L": ["a", "b"]}},
+    "variable": {"components": {"a": {"out": ["x"], "var": ["v\ud800"]}, "b": {"in": ["x"]}},
+                 "levels": {"L": ["a", "b"]}},
+    "level": {"components": {"a": {"out": ["x"]}, "b": {"in": ["x"]}},
+              "levels": {"L\ud800": ["a", "b"]}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SURROGATE_NAMES))
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["sources", "--level", "L", "--component", "b"],
+    ["condense", "--level", "L"],
+    ["export-dot", "--level", "L"],
+    ["export-dot", "--level", "L", "-o"],
+], ids=["validate", "sources", "condense", "export-dot", "export-dot-o"])
+def test_lone_surrogate_in_a_name_exits_one(tmp_path, capsys, kind, argv):
+    path, dot = tmp_path / "surrogate.json", tmp_path / "out.dot"
+    path.write_text(json.dumps(SURROGATE_NAMES[kind]), encoding="utf-8")
+    output = [str(dot)] if argv[-1] == "-o" else []
+    assert cli.run([argv[0], str(path), *argv[1:], *output]) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and not dot.exists()
+    assert err.startswith(f"archdeps: error: invalid {kind} identifier: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "data,message",
     [
         (b'{"levels": {"L\xff": []}}', "not UTF-8 text"),
         (b"[" * 100_000, "nested too deeply"),
+        (b'{"chan_from_ch": {"a\\r\\n\\u2028b": null}}', "chan_from_ch[a\\r\\n\\u2028b] must be"),
     ],
-    ids=["non_utf8", "deep_nesting"],
+    ids=["non_utf8", "deep_nesting", "line_breaks_in_name"],
 )
 def test_unreadable_document_exits_one(tmp_path, capsys, data, message):
     path = tmp_path / "doc.json"

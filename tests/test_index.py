@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from archdeps import cli, deps, ingest, optimize, slicing, validate
+from archdeps import deps, ingest, optimize, slicing, validate
 from archdeps.model import Architecture, LevelIndex, UnknownIdentifierError
 
 from .conftest import hub, to_tables
@@ -77,21 +77,24 @@ def test_link_maps_hold_the_index_tuples(arch):
                 )
 
 
-def test_direct_queries_and_condense_build_no_link_map(arch, tmp_path, monkeypatch, capsys):
-    model_file = tmp_path / "system_s.json"
-    model_file.write_text(ingest.serialize(arch), encoding="utf-8")
+def test_first_direct_query_builds_the_link_map_that_condense_and_sources_reuse(arch, monkeypatch):
     built = count_link_builds(monkeypatch)
     fresh = Architecture.create(**to_tables(arch))
-    for level, members in fresh.levels.items():
-        for c in members:
-            deps.dsources(fresh, level, c)
-            deps.dacc(fresh, level, c)
-        optimize.condense_level(fresh, level)
-    assert cli.run(
-        ["sources", str(model_file), "--level", "level0", "--component", "sA8", "--direct"]
-    ) == cli.EXIT_OK
-    assert capsys.readouterr().out == "sA7 sA9\n"
+    index = fresh.level_index("level0")
     assert built == []
+    assert deps.dsources(fresh, "level0", "sA8") == {"sA7", "sA9"}
+    assert built == ["inputs"]
+    feeders = index.feeders
+    for c in index.members:
+        deps.dsources(fresh, "level0", c)
+    optimize.condense_level(fresh, "level0")
+    deps.sources(fresh, "level0", "sA8")
+    assert index.feeders is feeders
+    assert deps.dacc(fresh, "level0", "sA7") == {"sA8"}
+    readers = index.readers
+    deps.acc(fresh, "level0", "sA7")
+    assert index.readers is readers
+    assert built == ["inputs", "outputs"]
 
 
 def test_first_transitive_query_builds_the_link_map_once(arch, monkeypatch):
@@ -181,28 +184,43 @@ def test_validate_all_builds_no_level_index(arch):
     assert "_level_indexes" not in vars(fresh)
 
 
-def test_hierarchy_index_contents_and_laziness(arch):
+DOCUMENT_TABLES = ("parents", "levels_of", "producers", "targeted_by", "finest_first")
+
+
+def cached(a: Architecture) -> set[str]:
+    """The names of the lazily built tables the model holds now."""
+    return set(vars(a)) - set(a._fields)
+
+
+def test_document_tables_contents_and_laziness(arch):
     fresh = Architecture.create(**to_tables(arch))
-    assert "hierarchy_index" not in vars(fresh)
-    index = fresh.hierarchy_index
-    assert index is fresh.hierarchy_index
+    assert cached(fresh) == set()
+    for name in DOCUMENT_TABLES:
+        assert getattr(fresh, name) is getattr(fresh, name)
+    assert cached(fresh) == set(DOCUMENT_TABLES)
     assert fresh == arch and ingest.serialize(fresh) == ingest.serialize(arch)
-    assert index.parents["sA22"] == ("sA2", "sS4opt", "sS6")
-    assert index.parents["sA5"] == ("sS7opt", "sS8")
-    assert index.parents["sA6"] == ("sS9",)
-    assert index.parents.get("sA1", ()) == ()
-    assert index.levels_of["sS3"] == ("level2", "level3")
-    assert index.producers == {
+    assert fresh.parents["sA22"] == ("sA2", "sS4opt", "sS6")
+    assert fresh.parents["sA5"] == ("sS7opt", "sS8")
+    assert fresh.parents["sA6"] == ("sS9",)
+    assert fresh.parents.get("sA1", ()) == ()
+    assert fresh.levels_of["sS3"] == ("level2", "level3")
+    assert fresh.producers == {
         x: tuple(c for c in sorted(arch.components) if x in arch.outputs_of(c))
         for x in arch.chan_from_ch
         if any(x in rec.outputs for rec in arch.components.values())
     }
-    assert index.targeted_by["data15"] == ("stA6",)
-    assert set(index.targeted_by) == set().union(*arch.var_to.values())
-    assert index.finest_first == ("level1", "level0", "level2", "level3")
+    assert fresh.targeted_by["data15"] == ("stA6",)
+    assert set(fresh.targeted_by) == set().union(*arch.var_to.values())
+    assert fresh.finest_first == ("level1", "level0", "level2", "level3")
 
 
-def test_hierarchy_index_on_5000_deep_chain():
+def test_highperf_marks_build_parents_and_nothing_else(arch):
+    fresh = Architecture.create(**to_tables(arch))
+    assert fresh.highperf_marks >= fresh.highperf_components
+    assert cached(fresh) == {"parents", "highperf_marks"}
+
+
+def test_finest_first_on_5000_deep_chain():
     depth = 5000
     components = {f"c{k}": {"subcomp": [f"c{k + 1}"]} for k in range(depth)}
     components[f"c{depth}"] = {}
@@ -210,7 +228,7 @@ def test_hierarchy_index_on_5000_deep_chain():
         components=components,
         levels={"fine": [f"c{depth}"], "coarse": ["c0"], "mid": ["c2500"]},
     )
-    assert a.hierarchy_index.finest_first == ("fine", "mid", "coarse")
+    assert a.finest_first == ("fine", "mid", "coarse")
 
 
 def test_validate_all_on_20001_component_hierarchy_is_near_linear():
@@ -248,9 +266,12 @@ def test_validate_all_on_20001_component_hierarchy_is_near_linear():
 
 def test_index_builds_restore_the_collector_state(arch, collector_enabled):
     fresh = Architecture.create(**to_tables(arch))
-    fresh.level_index("level0")
+    index = fresh.level_index("level0")
     assert gc.isenabled() is collector_enabled
-    fresh.hierarchy_index
-    assert gc.isenabled() is collector_enabled
-    fresh.highperf_marks
-    assert gc.isenabled() is collector_enabled
+    for name in ("feeders", "readers"):
+        getattr(index, name)
+        assert gc.isenabled() is collector_enabled
+    for name in (*DOCUMENT_TABLES, "highperf_marks"):
+        getattr(fresh, name)
+        assert gc.isenabled() is collector_enabled
+    assert cached(fresh) == {"_level_indexes", *DOCUMENT_TABLES, "highperf_marks"}

@@ -196,6 +196,7 @@ def test_building_the_cached_indexes_leaves_equality_unchanged(arch):
     a, b = Architecture.create(**tables), Architecture.create(**tables)
     for level in a.levels:
         a.level_index(level)
-    assert a.hierarchy_index and a.highperf_marks is not None
+    assert a.parents and a.levels_of and a.producers and a.targeted_by and a.finest_first
+    assert a.highperf_marks is not None
     assert a == b and b == a
     assert repr(a) == repr(b)

@@ -38,10 +38,13 @@ def dependency_edges(a, level):
 def test_sources_matches_reachability_oracle(seed):
     a = build(seed)
     for level in a.levels:
-        closure = reachability_pairs(dependency_edges(a, level))
+        edges = dependency_edges(a, level)
+        closure = reachability_pairs(edges)
         for c in a.level_components(level):
             expected = {s for (s, t) in closure if t == c}
             assert deps.sources(a, level, c) == expected
+            assert deps.dsources(a, level, c) == {s for (s, t) in edges if t == c}
+            assert deps.dacc(a, level, c) == {t for (s, t) in edges if s == c}
 
 
 @given(seeds)
