@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
-from .model import _MEMBERS, Architecture, LevelId, ModelError, _collector_paused
+from .model import _ARRAYS, _TABLES, Architecture, LevelId, ModelError, _collector_paused, _ShapeError
 
-_TABLES = ("levels", "chan_from_ch", "chan_from_var", "var_from", "var_to")
-_ARRAYS = ("highload_channels", "highperf_components")
 _TOP_LEVEL = ("components", *_TABLES, *_ARRAYS)  # Architecture.create's parameters
-
-_MEMBER_SET = frozenset(_MEMBERS)
+# Stands in for a top-level null, which create would read as an absent table:
+# neither an object nor names, so create names its place.
+_NULL = object()
+# A shape breach in the document's terms, by what belongs at the place; an
+# unknown member reads the same in both.
+_WORDING = {"mapping": "{} must be an object", "names": "{} must be an array of identifier strings"}
 
 
 class DocumentError(ModelError):
@@ -33,74 +34,20 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return obj
 
 
-def _well_shaped(raw: dict) -> bool:
-    """Whether the decoded document has the shape ``_raise_first_breach`` checks.
-
-    A few passes over whole columns, each a C loop: every component and
-    table is an object, every component member known, every array a list
-    and every array element a string.
-    """
-    components = raw.get("components", {})
-    tables = [raw.get(key, {}) for key in _TABLES]
-    if type(components) is not dict or not set(map(type, tables)) <= {dict}:
-        return False
-    specs = components.values()
-    if not set(map(type, specs)) <= {dict} or not _MEMBER_SET.issuperset(chain.from_iterable(specs)):
-        return False
-    arrays = [
-        *chain.from_iterable(map(dict.values, specs)),
-        *chain.from_iterable(map(dict.values, tables)),
-        *(raw.get(key, []) for key in _ARRAYS),
-    ]
-    return set(map(type, arrays)) <= {list} and set(map(type, chain.from_iterable(arrays))) <= {str}
-
-
-def _is_string_array(value: object) -> bool:
-    return isinstance(value, list) and set(map(type, value)) <= {str}
-
-
-def _raise_first_breach(raw: dict) -> None:
-    """Raise DocumentError for the first shape breach in document order.
-
-    The per-entry form of ``_well_shaped``, run only when that fails, so a
-    location is built only for the breach it names.
-    """
-    components = raw.get("components", {})
-    if not isinstance(components, dict):
-        raise DocumentError("components must be an object")
-    for name, spec in components.items():
-        if not isinstance(spec, dict):
-            raise DocumentError(f"components[{name}] must be an object")
-        extra = sorted(set(spec) - _MEMBER_SET)
-        if extra:
-            raise DocumentError(f"components[{name}] has unknown members: {', '.join(extra)}")
-        for member in _MEMBERS:
-            if not _is_string_array(spec.get(member, [])):
-                raise DocumentError(
-                    f"components[{name}].{member} must be an array of identifier strings"
-                )
-    for key in _TABLES:
-        table = raw.get(key, {})
-        if not isinstance(table, dict):
-            raise DocumentError(f"{key} must be an object")
-        for owner, members in table.items():
-            if not _is_string_array(members):
-                raise DocumentError(f"{key}[{owner}] must be an array of identifier strings")
-    for key in _ARRAYS:
-        if not _is_string_array(raw.get(key, [])):
-            raise DocumentError(f"{key} must be an array of identifier strings")
-
-
 def parse(doc: str) -> Architecture:
     """Parse an architecture description document.
 
-    Checks the shape of the decoded JSON in place, then hands it to
-    ``Architecture.create``, which fills in what is missing and checks names,
-    references and the subcomponent relation. Raises DocumentError on
-    malformed text (with position for syntax errors) or a key repeated in
-    one object, and the model's InvalidIdentifierError,
-    UnknownIdentifierError and SubcomponentCycleError. Decoding and building
-    run with the cyclic garbage collector paused: they make no cycles.
+    Decodes the text, checks that the top level is an object of
+    ``Architecture.create``'s parameters, and hands it to ``create``, which
+    checks the shape, fills in what is missing and checks names, references
+    and the subcomponent relation. Raises DocumentError on malformed text
+    (with position for syntax errors), a key repeated in one object, a bad
+    top level, and a shape breach: the TypeError ``create`` raises, reworded,
+    naming the same place, the first breach in document order. A top-level
+    null is such a breach. The model's InvalidIdentifierError,
+    UnknownIdentifierError and SubcomponentCycleError pass through. Decoding
+    and building run with the cyclic garbage collector paused: they make no
+    cycles.
     """
     with _collector_paused():
         try:
@@ -118,9 +65,13 @@ def parse(doc: str) -> Architecture:
         unknown = sorted(set(raw) - set(_TOP_LEVEL))
         if unknown:
             raise DocumentError(f"unknown top-level members: {', '.join(unknown)}")
-        if not _well_shaped(raw):
-            _raise_first_breach(raw)
-        return Architecture.create(**raw)
+        if None in raw.values():
+            raw = {key: _NULL if value is None else value for key, value in raw.items()}
+        try:
+            return Architecture.create(**raw)
+        except _ShapeError as exc:
+            wording = _WORDING.get(exc.wants)
+            raise DocumentError(wording.format(exc.where) if wording else str(exc)) from exc
 
 
 @lru_cache(maxsize=1)

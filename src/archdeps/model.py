@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter, methodcaller
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 ComponentId = str
 ChannelId = str
@@ -45,6 +45,16 @@ class UnknownIdentifierError(ModelError):
 
 class SubcomponentCycleError(ModelError):
     """The subcomponent relation contains a cycle."""
+
+
+class _ShapeError(TypeError):
+    """A place in the document's layout holds the wrong kind of value: ``where``
+    names it, ``wants`` says what belongs there ("mapping", "names" or
+    "members"), so that ``ingest.parse`` can word it in the document's terms."""
+
+    def __init__(self, where: str, wants: str, message: str) -> None:
+        super().__init__(f"{where} {message}")
+        self.where, self.wants = where, wants
 
 
 class _Fields:
@@ -94,10 +104,13 @@ class ComponentRecord(_Fields):
 
 _SEPARATOR = re.compile(r"[\s,\ud800-\udfff]")  # no identifier holds one; \s as in str.isspace
 _EMPTY: frozenset = frozenset()  # the one object behind every empty member and table entry
+# The document's layout, in the order create takes it: a component's member
+# keys, the tables (name -> names) and the arrays of names.
 _MEMBERS = ("in", "out", "var", "subcomp")
-# Where a collection of names belongs, a string would split into one-character
-# names and a false scalar would pass for the empty collection.
-_SCALARS = frozenset({str, bool, int, float, type(None)})
+_TABLES = ("levels", "chan_from_ch", "chan_from_var", "var_from", "var_to")
+_ARRAYS = ("highload_channels", "highperf_components")
+_MEMBER_SET = frozenset(_MEMBERS)
+_NAME_COLLECTIONS = frozenset({list, tuple, set, frozenset})  # others pass the per-entry walk
 
 
 @contextmanager
@@ -117,32 +130,66 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _collections(
-    components: Mapping[str, Mapping[str, object]],
-    tables: Mapping[str, Mapping[str, object]],
-    arrays: Mapping[str, object],
-) -> Iterator[tuple[str, object]]:
-    """Each place a collection of names belongs, with its location, in the
-    order ``create`` takes them."""
-    for name, spec in components.items():
-        for member in _MEMBERS:
-            yield f"components[{name}].{member}", spec.get(member, ())
-    for key, table in tables.items():
-        for owner, value in table.items():
-            yield f"{key}[{owner}]", value
-    yield from arrays.items()
+def _check_shape(components: object, tables: dict[str, object], arrays: dict[str, object]) -> None:
+    """Raise _ShapeError for the first place, in document order (components,
+    the tables, the arrays, each in entry order), that does not hold what the
+    layout puts there: a mapping for ``components``, each spec (with member
+    keys only) and each table; a collection of string names, not a string or
+    a mapping, for each member, table entry and array.
 
-
-def _check_names(kind: str, names: Iterable[object]) -> None:
-    """Raise InvalidIdentifierError for the first name in ``names`` that is not
-    a non-empty string free of separators.
-
-    One type test, one truth test and one search over the joined names
-    decide; the loop only runs to name the offender.
+    Type-set tests over whole columns pass plain dicts, lists, tuples, sets
+    and strings in C loops; the per-entry walk runs only when one fails.
     """
-    if set(map(type, names)) <= {str} and all(names) and not _SEPARATOR.search("".join(names)):
+    if type(components) is dict and set(map(type, tables.values())) <= {dict}:
+        specs = components.values()
+        if set(map(type, specs)) <= {dict} and _MEMBER_SET.issuperset(chain.from_iterable(specs)):
+            placed = [*chain.from_iterable(map(dict.values, [*specs, *tables.values()])), *arrays.values()]
+            if set(map(type, placed)) <= _NAME_COLLECTIONS:
+                if set(map(type, chain.from_iterable(placed))) <= {str}:
+                    return
+
+    def mapping(where: str, value: object) -> None:
+        if not isinstance(value, Mapping):
+            raise _ShapeError(where, "mapping", f"must be a mapping, not {type(value).__name__}")
+
+    def names(where: str, value: object) -> None:
+        kind = type(value).__name__
+        if not isinstance(value, (str, Mapping)) and isinstance(value, Collection):
+            odd = [name for name in value if not isinstance(name, str)]
+            if not odd:
+                return
+            kind += f" holding {type(odd[0]).__name__}"
+        raise _ShapeError(where, "names", f"must be a collection of names, not {kind}")
+
+    mapping("components", components)
+    for name, spec in components.items():
+        where = f"components[{name}]"
+        mapping(where, spec)
+        extra = set(spec) - _MEMBER_SET
+        if extra:
+            raise _ShapeError(where, "members", "has unknown members: " + ", ".join(sorted(map(str, extra))))
+        for member in _MEMBERS:
+            names(f"{where}.{member}", spec.get(member, ()))
+    for key, table in tables.items():
+        mapping(key, table)
+        for owner, value in table.items():
+            names(f"{key}[{owner}]", value)
+    for key, value in arrays.items():
+        names(key, value)
+
+
+def _check_names(kind: str, universe: Collection[object], in_order: Iterable[object]) -> None:
+    """Raise InvalidIdentifierError for the first name in ``in_order``, the
+    universe's names in document order, that is not a non-empty string free
+    of separators.
+
+    One type test, one truth test and one search over the joined universe
+    decide; the ordered loop only runs to name the offender, the same one in
+    every process.
+    """
+    if set(map(type, universe)) <= {str} and all(universe) and not _SEPARATOR.search("".join(universe)):
         return
-    for name in names:
+    for name in in_order:
         if not isinstance(name, str) or not name or _SEPARATOR.search(name):
             raise InvalidIdentifierError(f"invalid {kind} identifier: {name!r}")
 
@@ -288,43 +335,39 @@ class Architecture(_Fields):
     @_collector_paused()
     def create(
         cls,
-        components: Mapping[ComponentId, Mapping[str, Iterable[str]]] | None = None,
-        levels: Mapping[LevelId, Iterable[ComponentId]] | None = None,
-        chan_from_ch: Mapping[ChannelId, Iterable[ChannelId]] | None = None,
-        chan_from_var: Mapping[ChannelId, Iterable[VariableId]] | None = None,
-        var_from: Mapping[VariableId, Iterable[ChannelId]] | None = None,
-        var_to: Mapping[VariableId, Iterable[ChannelId]] | None = None,
-        highload_channels: Iterable[ChannelId] = (),
-        highperf_components: Iterable[ComponentId] = (),
+        components: Mapping[ComponentId, Mapping[str, Collection[str]]] | None = None,
+        levels: Mapping[LevelId, Collection[ComponentId]] | None = None,
+        chan_from_ch: Mapping[ChannelId, Collection[ChannelId]] | None = None,
+        chan_from_var: Mapping[ChannelId, Collection[VariableId]] | None = None,
+        var_from: Mapping[VariableId, Collection[ChannelId]] | None = None,
+        var_to: Mapping[VariableId, Collection[ChannelId]] | None = None,
+        highload_channels: Collection[ChannelId] = (),
+        highperf_components: Collection[ComponentId] = (),
     ) -> "Architecture":
-        """Fill in missing members and tables, check every name, reference
-        and the subcomponent relation, and freeze the tables in name order.
+        """Check the shape, fill in missing members and tables, check every
+        name, reference and the subcomponent relation, and freeze the tables
+        in name order.
 
-        A string, number, bool or None where a collection of names belongs is
-        a TypeError that names the place. Every check runs over whole columns
-        in C loops; a per-entry loop runs only to name the first offender.
+        ``components``, each spec and each table are mappings (``None`` is an
+        absent table), a spec's keys are among ``in``, ``out``, ``var`` and
+        ``subcomp``, and each member, table entry and array is a collection of
+        string names: not a string, number, bool, ``None`` or mapping. A
+        breach is a TypeError naming the first such place in document order,
+        the place ``ingest.parse`` names in a DocumentError. Every check runs
+        over whole columns in C loops; a per-entry loop only names the first
+        offender.
         """
-        components = components or {}
-        levels = levels or {}
-        chan_from_ch = chan_from_ch or {}
-        chan_from_var = chan_from_var or {}
-        var_from = var_from or {}
-        var_to = var_to or {}
-        tables = {
-            "levels": levels, "chan_from_ch": chan_from_ch, "chan_from_var": chan_from_var,
-            "var_from": var_from, "var_to": var_to,
-        }
-        arrays = {"highload_channels": highload_channels, "highperf_components": highperf_components}
+        components = {} if components is None else components
+        tables = dict(zip(_TABLES, (
+            {} if t is None else t for t in (levels, chan_from_ch, chan_from_var, var_from, var_to)
+        )))
+        arrays = dict(zip(_ARRAYS, (highload_channels, highperf_components)))
+        _check_shape(components, tables, arrays)
+        levels, chan_from_ch, chan_from_var, var_from, var_to = tables.values()
 
         names = list(components)
         specs = list(components.values())
         columns = [list(map(methodcaller("get", m, ()), specs)) for m in _MEMBERS]
-        placed = chain(*columns, *map(methodcaller("values"), tables.values()), arrays.values())
-        if not _SCALARS.isdisjoint(map(type, placed)):
-            where, value = next(
-                (w, v) for w, v in _collections(components, tables, arrays) if type(v) in _SCALARS
-            )
-            raise TypeError(f"{where} must be a collection of names, not {type(value).__name__}")
         ins, outs, var_sets, subs = (
             [frozenset(v) if v else _EMPTY for v in column] for column in columns
         )
@@ -339,11 +382,16 @@ class Architecture(_Fields):
         chan_universe = frozenset(chans)
         var_universe = frozenset(variables)
 
-        for kind, universe in (
-            ("component", names), ("channel", chan_universe),
-            ("variable", var_universe), ("level", levels),
+        # Each universe with its names in document order, walked only to name an offender.
+        flat = chain.from_iterable
+        for kind, universe, in_order in (
+            ("component", names, names),
+            ("channel", chan_universe,
+             chain(flat(flat(zip(columns[0], columns[1]))), chan_from_ch, chan_from_var)),
+            ("variable", var_universe, chain(flat(columns[2]), var_from, var_to)),
+            ("level", levels, levels),
         ):
-            _check_names(kind, universe)
+            _check_names(kind, universe, in_order)
 
         def total(table: Mapping[str, Iterable[str]], keys: list[str]) -> dict[str, frozenset[str]]:
             get = table.get

@@ -435,6 +435,30 @@ def test_unreadable_document_exits_one(tmp_path, capsys, data, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"components": {"A": {"in": ["i j"], "out": ["k l"], "var": ["u v"]}},
+      "chan_from_ch": {"a b": [], "c d": [], "e f": [], "g h": []},
+      "var_from": {"m n": [], "o p": [], "q r": [], "s t": []}},
+     "invalid channel identifier: 'i j'"),
+    ({"var_from": {"a b": [], "c d": []}, "var_to": {"e f": [], "g h": []}},
+     "invalid variable identifier: 'a b'"),
+], ids=["channels_and_variables", "variables"])
+def test_identifier_error_is_the_same_under_every_hash_seed(tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    errors = set()
+    for seed in ("1", "2", "3", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "archdeps.cli", "validate", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        )
+        assert proc.returncode == cli.EXIT_ERROR
+        errors.add(proc.stderr)
+    assert errors == {f"archdeps: error: {message}\n"}
+
+
 SYSTEM_S = json.loads(ingest.serialize(case_study_fixture()))
 NAMES = sorted(
     set(SYSTEM_S["components"]) | set(SYSTEM_S["levels"]) | set(SYSTEM_S["chan_from_ch"])

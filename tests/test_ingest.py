@@ -1,9 +1,11 @@
 import gc
+import inspect
 import json
+import re
 from importlib import resources
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from archdeps import case_study_fixture, ingest
@@ -16,6 +18,7 @@ from archdeps.model import (
 )
 
 from .conftest import to_tables
+from .test_cli import mutated_system_s
 
 EMPTY_DOC = """
 {
@@ -288,6 +291,10 @@ def _load_error_cases():
            Unknown, "undeclared component A referenced in highperf_components")
     yield ("subcomp_cycle", {"components": {"A": {"subcomp": ["B"]}, "B": {"subcomp": ["A"]}}},
            SubcomponentCycleError, "subcomponent cycle: A -> B -> A")
+    yield "components_null", {"components": None}, DocErr, "components must be an object"
+    yield "levels_null", {"levels": None}, DocErr, "levels must be an object"
+    yield ("highload_channels_null", {"highload_channels": None},
+           DocErr, "highload_channels must be an array of identifier strings")
 
 
 @pytest.mark.parametrize(
@@ -357,3 +364,41 @@ def test_empty_members_and_entries_are_one_object():
     ]
     assert len(empties) > 50
     assert len({id(s) for s in empties}) == 1
+
+
+def _place(message: str) -> str:
+    # The place a shape error names: its text before what belongs there.
+    return re.split(r" must be | has unknown members: ", message, maxsplit=1)[0]
+
+
+def _outcome(load, *args, errors=(ModelError,)):
+    try:
+        return load(*args), None
+    except errors as exc:
+        return None, exc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_system_s())
+@example(b'{"components": []}')
+@example(b'{"components": {"A": ["x"]}}')
+@example(b'{"components": {"A": {"inputs": ["x"]}}}')
+@example(b'{"levels": ["L0"]}')
+@example(b'{"chan_from_ch": "x"}')
+@example(b'{"chan_from_ch": {"x": {"y": []}}, "levels": {"L": [1]}}')
+def test_parse_and_create_agree(data):
+    # Only create's parameters at the top level, none null: create reads a null as an absent table.
+    doc = json.loads(data)
+    assume(doc.keys() <= inspect.signature(Architecture.create).parameters.keys())
+    assume(None not in doc.values())
+    parsed, parse_error = _outcome(ingest.parse, data.decode())
+    created, create_error = _outcome(lambda: Architecture.create(**doc), errors=(ModelError, TypeError))
+    if parse_error is None:
+        assert create_error is None and parsed == created
+    elif type(parse_error) is ingest.DocumentError:
+        assert isinstance(create_error, TypeError)
+        assert str(parse_error.__cause__) == str(create_error)
+        assert _place(str(parse_error)) == _place(str(create_error))
+    else:
+        assert type(parse_error) is type(create_error)
+        assert str(parse_error) == str(create_error)

@@ -98,8 +98,17 @@ def test_comma_in_identifier_rejected(components):
         ({"components": {"A": {"out": [], "var": None}}}, "components[A].var", "NoneType"),
         ({"components": {"A": {"subcomp": 0}}}, "components[A].subcomp", "int"),
         ({"components": {"A": {}}, "levels": {"L": False}}, "levels[L]", "bool"),
+        ({"components": {"A": {"in": {"x": []}}}}, "components[A].in", "dict"),
+        ({"chan_from_ch": {"x": {"y": []}}}, "chan_from_ch[x]", "dict"),
+        ({"components": {"A": {}}, "highperf_components": {"A": 1}}, "highperf_components", "dict"),
+        ({"components": {"A": {}}, "levels": {"L": ["A", 1]}}, "levels[L]", "list holding int"),
+        ({"components": {"A": {"subcomp": [None]}}}, "components[A].subcomp", "list holding NoneType"),
+        ({"chan_from_ch": {"x": [["y"]], "y": []}}, "chan_from_ch[x]", "list holding list"),
+        ({"highload_channels": None}, "highload_channels", "NoneType"),
     ],
-    ids=["member", "table_entry", "level", "array", "none", "zero", "false"],
+    ids=["member", "table_entry", "level", "array", "none", "zero", "false", "member_dict",
+         "table_entry_dict", "array_dict", "level_non_string", "subcomp_non_string",
+         "chan_from_ch_non_string", "array_none"],
 )
 def test_scalar_for_names_is_a_type_error(tables, where, kind):
     with pytest.raises(TypeError) as info:
