@@ -80,16 +80,13 @@ def is_not_dsource_for(
     members = a.level_components(level)
     outputs = a.outputs_of(s)
     a.require_component(c)
-    return c not in members or not (outputs & a.components[c].inputs)
+    return c not in members or outputs.isdisjoint(a.components[c].inputs)
 
 
 def chan_direct_deps(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:
     """Input channels x depends on directly or through a local variable."""
     a.require_channel(x)
-    via_vars = frozenset(
-        y for v in a.chan_from_var[x] for y in a.var_from[v]
-    )
-    return a.chan_from_ch[x] | via_vars
+    return frozenset(a.chan_from_ch[x]).union(*map(a.var_from.__getitem__, a.chan_from_var[x]))
 
 
 def chan_transitive_deps(a: Architecture, x: ChannelId) -> frozenset[ChannelId]:

@@ -15,7 +15,7 @@ def out_pair_correlated(
     return (
         x in outputs
         and y in outputs
-        and bool(a.chan_from_var[x] & a.chan_from_var[y])
+        and not frozenset(a.chan_from_var[x]).isdisjoint(a.chan_from_var[y])
     )
 
 
@@ -30,16 +30,21 @@ def is_elementary(a: Architecture, c: ComponentId) -> bool:
 
     A component with no outputs counts as elementary (vacuous condition).
     An output's correlation set depends only on its variable deps, so one
-    set is built per distinct deps set and the distinct sets are intersected
-    pairwise, each also with itself for the non-empty check. The worst case
-    stays quadratic in the number of distinct sets.
+    set is built per distinct deps set. When one channel lies in all of
+    them, every pair meets and the answer is found in linear time;
+    otherwise the distinct sets are intersected pairwise, each also with
+    itself for the non-empty check, so the worst case stays quadratic in
+    the number of distinct sets.
     """
-    outputs = a.outputs_of(c)
-    if len(outputs) == 1:
+    a.require_component(c)
+    outputs = a.components[c].outputs
+    if len(outputs) <= 1:
         return True
     var_to = a.var_to  # out_set_correlated per deps set, unchecked: outputs are declared channels
     corr = list({frozenset().union(*map(var_to.__getitem__, deps))
                  for deps in set(map(a.chan_from_var.__getitem__, outputs))})
+    if frozenset.intersection(*corr):
+        return True
     return all(p & q for i, p in enumerate(corr) for q in corr[i:])
 
 

@@ -96,18 +96,20 @@ def serialize(a: Architecture) -> str:
 
     The bytes are those of ``json.dumps(tables, indent=2, sort_keys=True)``,
     written directly: with ``indent`` json.dumps runs its pure-Python encoder.
-    Each distinct name is quoted once per call.
+    Each distinct name is quoted once per call. Members and table entries are
+    written as the model holds them, in name order; only the level members
+    and the two arrays, held as sets, are sorted.
     """
     quoted = _Quoted()  # the four universes hold every name of a created model
     for names in (a.components, a.chan_from_ch, a.var_from, a.levels):
         quoted.update(zip(names, map(_quote, names)))
     quote = quoted.__getitem__
 
-    def arrays(sets, pad: str) -> list[str]:
-        # Each set as a JSON array of its sorted names, an item per line, as
+    def arrays(entries, pad: str) -> list[str]:
+        # Each entry, its names in name order, as a JSON array with an item per line, as
         # json.dumps(indent=2) lays it out; pad is the newline and indent of the array's line.
         head, sep, tail = "[" + pad + "  ", "," + pad + "  ", pad + "]"
-        return [head + sep.join(map(quote, sorted(s))) + tail if s else "[]" for s in sets]
+        return [head + sep.join(map(quote, s)) + tail if s else "[]" for s in entries]
 
     def obj(keys, members, pad: str) -> str:
         # One JSON object from its sorted keys and their member texts.
@@ -124,8 +126,9 @@ def serialize(a: Architecture) -> str:
     leaf = "\n      "
     fields = ("inputs", "outputs", "subcomponents", "vars")  # the members' key order
     columns = (arrays(map(attrgetter(f), records), leaf) for f in fields)
-    members = {key: table(getattr(a, key)) for key in _TABLES}
-    members.update(zip(_ARRAYS, arrays(attrgetter(*_ARRAYS)(a), "\n  ")))
+    members = {key: table(getattr(a, key)) for key in _TABLES[1:]}
+    members["levels"] = table({lvl: sorted(m) for lvl, m in a.levels.items()})  # members are sets
+    members.update(zip(_ARRAYS, arrays(map(sorted, attrgetter(*_ARRAYS)(a)), "\n  ")))
     members["components"] = obj(names, [
         f'{{{leaf}"in": {i},{leaf}"out": {o},{leaf}"subcomp": {s},{leaf}"var": {v}\n    }}'
         for i, o, s, v in zip(*columns)

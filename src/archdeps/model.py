@@ -1,13 +1,16 @@
 """Architecture model: components, channels, variables, levels.
 
-All dependency tables are total mappings: an identifier without an explicit
-entry maps to the empty set. Identifier universes are closed once an
-Architecture is constructed. Model objects are equal by field and unhashable;
-their fields are not write-protected, and the package never writes them. The
-level indexes with their feeder and reader maps, the document-wide tables
-(``parents``, ``levels_of``, ``producers``, ``targeted_by``, ``finest_first``)
-and ``highperf_marks`` are built from the fields on first use, so a field
-written after that leaves later answers stale.
+Every component member and table entry is a tuple of names in name order, each
+once (loading drops a repeat); level members and the two arrays are
+frozensets, and so are the named lookups' answers (``inputs_of`` and so on).
+All tables are total: an identifier without an entry maps to ``()``.
+Identifier universes are closed once an Architecture is constructed. Model
+objects are equal by field and unhashable; their fields are not
+write-protected, and the package never writes them. The level indexes with
+their feeder and reader maps, the document-wide tables (``parents``,
+``levels_of``, ``producers``, ``targeted_by``, ``finest_first``) and
+``highperf_marks`` are built from the fields on first use, so a field written
+after that leaves later answers stale.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import gc
 import re
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import chain, compress
-from operator import attrgetter, methodcaller
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, countOf, ge, methodcaller
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 ComponentId = str
@@ -89,27 +92,24 @@ class Verdict(NamedTuple):
 
 
 class ComponentRecord(_Fields):
-    inputs: frozenset[ChannelId]
-    outputs: frozenset[ChannelId]
-    vars: frozenset[VariableId]
-    subcomponents: frozenset[ComponentId]
+    inputs: tuple[ChannelId, ...]
+    outputs: tuple[ChannelId, ...]
+    vars: tuple[VariableId, ...]
+    subcomponents: tuple[ComponentId, ...]
     _fields = __slots__ = tuple(__annotations__)
 
     def __init__(self, inputs, outputs, vars, subcomponents) -> None:
-        self.inputs = inputs
-        self.outputs = outputs
-        self.vars = vars
-        self.subcomponents = subcomponents
+        self.inputs, self.outputs, self.vars, self.subcomponents = inputs, outputs, vars, subcomponents
 
 
 _SEPARATOR = re.compile(r"[\s,\ud800-\udfff]")  # no identifier holds one; \s as in str.isspace
-_EMPTY: frozenset = frozenset()  # the one object behind every empty member and table entry
 # The document's layout, in the order create takes it: a component's member
 # keys, the tables (name -> names) and the arrays of names.
 _MEMBERS = ("in", "out", "var", "subcomp")
 _TABLES = ("levels", "chan_from_ch", "chan_from_var", "var_from", "var_to")
 _ARRAYS = ("highload_channels", "highperf_components")
 _MEMBER_SET = frozenset(_MEMBERS)
+_flat = chain.from_iterable
 _NAME_COLLECTIONS = frozenset({list, tuple, set, frozenset})  # others pass the per-entry walk
 
 
@@ -130,23 +130,35 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _check_shape(components: object, tables: dict[str, object], arrays: dict[str, object]) -> None:
+def _check_shape(components: object, tables: dict[str, object], arrays: dict[str, object]) -> bool:
     """Raise _ShapeError for the first place, in document order (components,
     the tables, the arrays, each in entry order), that does not hold what the
     layout puts there: a mapping for ``components``, each spec (with member
     keys only) and each table; a collection of string names, not a string or
-    a mapping, for each member, table entry and array.
+    a mapping, for each member, table entry and array. Return whether every
+    member and table entry lists its names strictly increasing already.
 
-    Type-set tests over whole columns pass plain dicts, lists, tuples, sets
-    and strings in C loops; the per-entry walk runs only when one fails.
+    Type-set tests over whole columns and a join of their names pass plain
+    dicts, lists, tuples, sets and strings in C loops; the per-entry walk
+    (which answers False) runs only when one fails. The order test compares
+    neighbours over the non-empty entries, each followed by "", which sorts
+    before any name: when every entry is in order, only its (last, "") pairs
+    fail to increase.
     """
     if type(components) is dict and set(map(type, tables.values())) <= {dict}:
         specs = components.values()
-        if set(map(type, specs)) <= {dict} and _MEMBER_SET.issuperset(chain.from_iterable(specs)):
-            placed = [*chain.from_iterable(map(dict.values, [*specs, *tables.values()])), *arrays.values()]
-            if set(map(type, placed)) <= _NAME_COLLECTIONS:
-                if set(map(type, chain.from_iterable(placed))) <= {str}:
-                    return
+        if set(map(type, specs)) <= {dict} and _MEMBER_SET.issuperset(_flat(specs)):
+            entries = [*_flat(map(dict.values, [*specs, *[tables[t] for t in _TABLES[1:]]]))]
+            sets = [*tables["levels"].values(), *arrays.values()]  # held as sets, in no order
+            if set(map(type, entries)) | set(map(type, sets)) <= _NAME_COLLECTIONS:
+                entries = list(filter(None, entries))
+                names = list(_flat(_flat(zip(entries, repeat(("",))))))
+                try:  # join raises a TypeError unless every name is a string
+                    "".join(names) + "".join(_flat(sets))
+                except TypeError:
+                    pass
+                else:
+                    return countOf(map(ge, names, islice(names, 1, None)), True) == len(entries)
 
     def mapping(where: str, value: object) -> None:
         if not isinstance(value, Mapping):
@@ -176,6 +188,7 @@ def _check_shape(components: object, tables: dict[str, object], arrays: dict[str
             names(f"{key}[{owner}]", value)
     for key, value in arrays.items():
         names(key, value)
+    return False
 
 
 def _check_names(kind: str, universe: Collection[object], in_order: Iterable[object]) -> None:
@@ -222,7 +235,7 @@ def _post_order(
             continue
         done[root] = False
         path = [root]
-        stack = [iter(sorted(components[root].subcomponents))]
+        stack = [iter(components[root].subcomponents)]
         while stack:
             child = next(stack[-1], None)
             if child is None:
@@ -235,7 +248,7 @@ def _post_order(
                 if below:
                     done[child] = False
                     path.append(child)
-                    stack.append(iter(sorted(below)))
+                    stack.append(iter(below))
                 else:  # no subcomponents: finished as soon as it is met
                     done[child] = True
                     order.append(child)
@@ -275,9 +288,7 @@ class LevelIndex(_Fields):
     @classmethod
     @_collector_paused()
     def build(
-        cls,
-        components: Mapping[ComponentId, ComponentRecord],
-        members: frozenset[ComponentId],
+        cls, components: Mapping[ComponentId, ComponentRecord], members: frozenset[ComponentId]
     ) -> "LevelIndex":
         records = [(c, components[c]) for c in sorted(members)]
         return cls(
@@ -314,10 +325,10 @@ class Architecture(_Fields):
 
     components: Mapping[ComponentId, ComponentRecord]
     levels: Mapping[LevelId, frozenset[ComponentId]]
-    chan_from_ch: Mapping[ChannelId, frozenset[ChannelId]]
-    chan_from_var: Mapping[ChannelId, frozenset[VariableId]]
-    var_from: Mapping[VariableId, frozenset[ChannelId]]
-    var_to: Mapping[VariableId, frozenset[ChannelId]]
+    chan_from_ch: Mapping[ChannelId, tuple[ChannelId, ...]]
+    chan_from_var: Mapping[ChannelId, tuple[VariableId, ...]]
+    var_from: Mapping[VariableId, tuple[ChannelId, ...]]
+    var_to: Mapping[VariableId, tuple[ChannelId, ...]]
     highload_channels: frozenset[ChannelId]
     highperf_components: frozenset[ComponentId]
     _fields = tuple(__annotations__)
@@ -345,8 +356,8 @@ class Architecture(_Fields):
         highperf_components: Collection[ComponentId] = (),
     ) -> "Architecture":
         """Check the shape, fill in missing members and tables, check every
-        name, reference and the subcomponent relation, and freeze the tables
-        in name order.
+        name, reference and the subcomponent relation; freeze each member and
+        table entry as a name-ordered tuple without repeats.
 
         ``components``, each spec and each table are mappings (``None`` is an
         absent table), a spec's keys are among ``in``, ``out``, ``var`` and
@@ -362,49 +373,37 @@ class Architecture(_Fields):
             {} if t is None else t for t in (levels, chan_from_ch, chan_from_var, var_from, var_to)
         )))
         arrays = dict(zip(_ARRAYS, (highload_channels, highperf_components)))
-        _check_shape(components, tables, arrays)
+        # Each entry as a tuple in name order, each name once: a copy when it is so already.
+        entry = tuple if _check_shape(components, tables, arrays) else lambda v: tuple(sorted(set(v)))
         levels, chan_from_ch, chan_from_var, var_from, var_to = tables.values()
 
         names = list(components)
         specs = list(components.values())
         columns = [list(map(methodcaller("get", m, ()), specs)) for m in _MEMBERS]
-        ins, outs, var_sets, subs = (
-            [frozenset(v) if v else _EMPTY for v in column] for column in columns
-        )
+        ins, outs, var_sets, subs = ([*map(entry, column)] for column in columns)
 
         comp_universe = frozenset(names)
-        chans = set(chan_from_ch)
-        chans.update(chan_from_var)
+        chans = {*chan_from_ch, *chan_from_var}
         chans.update(*chain.from_iterable(zip(ins, outs)))  # component by component, as declared
-        variables = set(var_from)
-        variables.update(var_to)
+        variables = {*var_from, *var_to}
         variables.update(*var_sets)
-        chan_universe = frozenset(chans)
-        var_universe = frozenset(variables)
+        chan_universe, var_universe = frozenset(chans), frozenset(variables)
 
         # Each universe with its names in document order, walked only to name an offender.
-        flat = chain.from_iterable
         for kind, universe, in_order in (
             ("component", names, names),
             ("channel", chan_universe,
-             chain(flat(flat(zip(columns[0], columns[1]))), chan_from_ch, chan_from_var)),
-            ("variable", var_universe, chain(flat(columns[2]), var_from, var_to)),
+             chain(_flat(_flat(zip(columns[0], columns[1]))), chan_from_ch, chan_from_var)),
+            ("variable", var_universe, chain(_flat(columns[2]), var_from, var_to)),
             ("level", levels, levels),
         ):
             _check_names(kind, universe, in_order)
 
-        def total(table: Mapping[str, Iterable[str]], keys: list[str]) -> dict[str, frozenset[str]]:
-            get = table.get
-            return {k: frozenset(v) if (v := get(k)) else _EMPTY for k in keys}
-
+        # Every table total: each key of its universe, in name order, with its entry or ().
         chan_order, var_order = sorted(chan_universe), sorted(var_universe)
-        frozen = {
-            "levels": total(levels, sorted(levels)),
-            "chan_from_ch": total(chan_from_ch, chan_order),
-            "chan_from_var": total(chan_from_var, chan_order),
-            "var_from": total(var_from, var_order),
-            "var_to": total(var_to, var_order),
-        }
+        frozen = {"levels": {lvl: frozenset(levels[lvl]) for lvl in sorted(levels)}}
+        for key, keys in zip(_TABLES[1:], (chan_order, chan_order, var_order, var_order)):
+            frozen[key] = dict(zip(keys, map(entry, map(tables[key].get, keys, repeat(())))))
         highload, highperf = frozenset(highload_channels), frozenset(highperf_components)
 
         # (kind, universe, where, owners in declaration order, owner -> names)
@@ -421,15 +420,16 @@ class Architecture(_Fields):
             if universe.issuperset(chain.from_iterable(referenced.values())):
                 continue
             for owner in owners:
-                unknown = referenced[owner] - universe
+                unknown = set(referenced[owner]).difference(universe)
                 if unknown:
                     raise UnknownIdentifierError(
                         f"undeclared {kind} {', '.join(sorted(unknown))} referenced in {where}{owner}"
                     )
 
         records = dict(zip(names, map(ComponentRecord, ins, outs, var_sets, subs)))
+        by_name = sorted(names)
         arch = cls(
-            components={k: records[k] for k in sorted(records)},
+            components=dict(zip(by_name, map(records.__getitem__, by_name))),
             highload_channels=highload,
             highperf_components=highperf,
             **frozen,
@@ -459,19 +459,19 @@ class Architecture(_Fields):
 
     def inputs_of(self, c: ComponentId) -> frozenset[ChannelId]:
         self.require_component(c)
-        return self.components[c].inputs
+        return frozenset(self.components[c].inputs)
 
     def outputs_of(self, c: ComponentId) -> frozenset[ChannelId]:
         self.require_component(c)
-        return self.components[c].outputs
+        return frozenset(self.components[c].outputs)
 
     def vars_of(self, c: ComponentId) -> frozenset[VariableId]:
         self.require_component(c)
-        return self.components[c].vars
+        return frozenset(self.components[c].vars)
 
     def subcomponents_of(self, c: ComponentId) -> frozenset[ComponentId]:
         self.require_component(c)
-        return self.components[c].subcomponents
+        return frozenset(self.components[c].subcomponents)
 
     def level_components(self, level: LevelId) -> frozenset[ComponentId]:
         self.require_level(level)

@@ -39,23 +39,27 @@ def _composition_diff_levels(a: Architecture, comps: Iterable[ComponentId]) -> W
     levels_of = a.levels_of
     for c in comps:
         subs = a.components[c].subcomponents
-        if subs and any(not subs.isdisjoint(a.levels[lvl]) for lvl in levels_of.get(c, ())):
+        if subs and any(not a.levels[lvl].isdisjoint(subs) for lvl in levels_of.get(c, ())):
             yield Witness((c,), f"{c} shares a level with one of its subcomponents")
 
 
 def _composition_var(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
     for c in comps:
-        own = a.components[c].vars
-        if any(not a.components[s].vars <= own for s in a.components[c].subcomponents):
-            yield Witness((c,), f"a subcomponent of {c} holds a variable {c} does not")
+        subs = a.components[c].subcomponents
+        if subs:
+            own = set(a.components[c].vars)
+            if any(not own.issuperset(a.components[s].vars) for s in subs):
+                yield Witness((c,), f"a subcomponent of {c} holds a variable {c} does not")
 
 
 def _decomposition_var(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
     for c in comps:
-        own = a.components[c].vars
-        owned = [v for s in a.components[c].subcomponents for v in a.components[s].vars if v in own]
-        if len(owned) != len(set(owned)):
-            yield Witness((c,), f"two subcomponents of {c} share a variable")
+        subs = a.components[c].subcomponents
+        if subs:
+            own = set(a.components[c].vars)
+            owned = [v for s in subs for v in a.components[s].vars if v in own]
+            if len(owned) != len(set(owned)):
+                yield Witness((c,), f"two subcomponents of {c} share a variable")
 
 
 def _two_owners_on_one_level(
@@ -96,7 +100,8 @@ def _deps_outside_producers(a: Architecture, chans: Iterable[ChannelId], field: 
     producers = a.producers
     for x in chans:
         dep = table[x]
-        if dep and not any(dep <= getattr(a.components[z], field) for z in producers.get(x, ())):
+        if dep and not any(set(getattr(a.components[z], field)).issuperset(dep)
+                           for z in producers.get(x, ())):
             yield Witness((x,), f"no component {what} of {x} and produces it")
 
 
@@ -110,7 +115,7 @@ def _outfromv2(a: Architecture, chans: Iterable[ChannelId]) -> Witnesses:
 def _varto_mismatches(a: Architecture) -> Witnesses:
     targeted_by = a.targeted_by
     for x in sorted(a.chan_from_var):
-        for v in sorted(a.chan_from_var[x].symmetric_difference(targeted_by.get(x, ()))):
+        for v in sorted(set(a.chan_from_var[x]).symmetric_difference(targeted_by.get(x, ()))):
             yield Witness((x, v), f"chan_from_var/var_to disagree on ({x}, {v})")
 
 
@@ -127,9 +132,9 @@ def _fine_var_escapes(
     for lvl in levels:
         members |= a.level_components(lvl)
     for z in sorted(members):
-        ref = getattr(a.components[z], side)
-        for v in sorted(a.components[z].vars):
-            if not table[v] <= ref:
+        ref = set(getattr(a.components[z], side))
+        for v in a.components[z].vars:
+            if not ref.issuperset(table[v]):
                 yield Witness((z, v), f"{v} of {z} uses channels outside its {side}")
 
 

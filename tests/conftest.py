@@ -114,6 +114,20 @@ def hub(k: int) -> Architecture:
     )
 
 
+def shared_output(k: int) -> Architecture:
+    """One component, ``c``, on level L0, with k + 1 outputs: x{i} is fed by
+    its own variable v{i}, and every variable also feeds the output ``shared``.
+    So the k + 1 correlation sets are distinct, and ``shared`` lies in all."""
+    outs = [f"x{i}" for i in range(k)]
+    variables = [f"v{i}" for i in range(k)]
+    return Architecture.create(
+        components={"c": {"out": [*outs, "shared"], "var": variables}},
+        levels={"L0": ["c"]},
+        chan_from_var={**{x: [v] for x, v in zip(outs, variables)}, "shared": variables},
+        var_to={v: [x, "shared"] for x, v in zip(outs, variables)},
+    )
+
+
 def reachability_pairs(edges) -> set:
     """Brute-force transitive closure: iterate relation composition to fixpoint."""
     pairs = set(edges)

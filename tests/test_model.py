@@ -1,6 +1,15 @@
-import pytest
+import gc
+import json
+import platform
+import random
+from importlib import resources
+from itertools import chain
 
-from archdeps import case_study_fixture
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from archdeps import case_study_fixture, ingest
 from archdeps.model import (
     Architecture,
     ComponentRecord,
@@ -9,7 +18,7 @@ from archdeps.model import (
     UnknownIdentifierError,
 )
 
-from .conftest import to_tables
+from .conftest import random_architecture, to_tables
 
 
 def test_fixture_in_sa4(arch):
@@ -24,7 +33,7 @@ def test_fixture_level3(arch):
 
 
 def test_fixture_var_to_sta6(arch):
-    assert arch.var_to["stA6"] == {"data15", "data16"}
+    assert arch.var_to["stA6"] == ("data15", "data16")
 
 
 def test_fixture_highload_and_highperf(arch):
@@ -140,8 +149,8 @@ def test_absent_table_entries_total():
         components={"A": {"in": ["x1"], "out": ["x2"]}},
     )
     # channels declared through the interface get empty dependency entries
-    assert a.chan_from_ch["x1"] == frozenset()
-    assert a.chan_from_var["x2"] == frozenset()
+    assert a.chan_from_ch["x1"] == ()
+    assert a.chan_from_var["x2"] == ()
 
 
 def test_fixture_cached_instance():
@@ -184,17 +193,16 @@ def test_model_is_unhashable(arch):
 
 
 def test_component_record_equality_and_repr_go_by_its_fields():
-    x, e = frozenset({"x"}), frozenset()
+    x, e = ("x",), ()
     record = ComponentRecord(x, e, e, e)
     assert record == ComponentRecord(x, e, e, e)
     for i in range(4):
         fields = [e] * 4
-        fields[i] = frozenset({"y"})
+        fields[i] = ("y",)
         assert record != ComponentRecord(*fields)
     assert record != (x, e, e, e)
     assert repr(record) == (
-        "ComponentRecord(inputs=frozenset({'x'}), outputs=frozenset(),"
-        " vars=frozenset(), subcomponents=frozenset())"
+        "ComponentRecord(inputs=('x',), outputs=(), vars=(), subcomponents=())"
     )
     with pytest.raises(TypeError):
         hash(record)
@@ -209,3 +217,61 @@ def test_building_the_cached_indexes_leaves_equality_unchanged(arch):
     assert a.highperf_marks is not None
     assert a == b and b == a
     assert repr(a) == repr(b)
+
+
+MEMBER_FIELDS = {"in": "inputs", "out": "outputs", "var": "vars", "subcomp": "subcomponents"}
+ENTRY_TABLES = ("chan_from_ch", "chan_from_var", "var_from", "var_to")
+LOOKUPS = {"inputs": "inputs_of", "outputs": "outputs_of", "vars": "vars_of",
+           "subcomponents": "subcomponents_of"}
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+def test_members_and_entries_are_name_ordered_tuples_without_repeats(seed):
+    rng = random.Random(seed)
+    clean = to_tables(random_architecture(rng))
+
+    def messy(names: list) -> list:
+        # the names shuffled, some of them twice
+        names = names + rng.sample(names, rng.randint(0, len(names)))
+        rng.shuffle(names)
+        return names
+
+    tables = {
+        "components": {c: {m: messy(v) for m, v in spec.items()} for c, spec in clean["components"].items()},
+        **{t: {k: messy(v) for k, v in clean[t].items()} for t in ("levels", *ENTRY_TABLES)},
+        "highload_channels": messy(clean["highload_channels"]),
+        "highperf_components": messy(clean["highperf_components"]),
+    }
+    a = Architecture.create(**tables)
+
+    def canonical(value, names) -> bool:
+        return type(value) is tuple and value == tuple(sorted(set(names))) and all(
+            x < y for x, y in zip(value, value[1:])
+        )
+
+    for c, spec in tables["components"].items():
+        for member, field in MEMBER_FIELDS.items():
+            assert canonical(getattr(a.components[c], field), spec[member])
+            lookup = getattr(a, LOOKUPS[field])(c)
+            assert type(lookup) is frozenset and lookup == set(spec[member])
+    for t in ENTRY_TABLES:
+        for k, value in getattr(a, t).items():
+            assert canonical(value, tables[t].get(k, ()))
+    assert a == Architecture.create(**clean)
+    assert ingest.parse(json.dumps(tables)) == a
+    assert ingest.parse(ingest.serialize(a)) == a
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="untracking tuples of strings is a CPython collector detail")
+def test_members_and_entries_are_untracked_after_one_collection():
+    text = (resources.files("archdeps") / "data" / "system_s.json").read_text(encoding="utf-8")
+    a = ingest.parse(text)
+    gc.collect()
+    records = a.components.values()
+    entries = [
+        *chain.from_iterable((r.inputs, r.outputs, r.vars, r.subcomponents) for r in records),
+        *chain.from_iterable(getattr(a, t).values() for t in ENTRY_TABLES),
+    ]
+    assert len(entries) == 4 * len(records) + 2 * len(a.chan_from_ch) + 2 * len(a.var_from)
+    assert not any(map(gc.is_tracked, entries))

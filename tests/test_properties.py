@@ -1,6 +1,7 @@
 import functools
 import random
 import time
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from .conftest import (
     random_architecture,
     reachability_pairs,
     rebuild,
+    shared_output,
     to_tables,
 )
 
@@ -439,6 +441,13 @@ def test_elementary_one_variable_feeding_2000_outputs_under_one_second():
     assert time.perf_counter() - start < 1.0
 
 
+def test_elementary_4000_outputs_with_one_shared_correlation_under_one_second():
+    a = shared_output(4_000)
+    start = time.perf_counter()
+    assert elementary.is_elementary(a, "c")
+    assert time.perf_counter() - start < 1.0
+
+
 @given(seeds)
 def test_out_set_correlated_symmetric_when_tables_agree(seed):
     a = build(seed)
@@ -470,9 +479,13 @@ def test_validate_all_never_crashes_and_reports_everything(seed):
 def brute_force_witnesses(a) -> dict:
     """Every predicate's witness entity tuples, transcribed from its definition."""
     comps, chans, variables = sorted(a.components), sorted(a.chan_from_ch), sorted(a.var_from)
-    rec = a.components
     levels = a.levels.values()
     members = set().union(*(a.levels[lvl] for lvl in validate._default_level_pair(a)))
+    # The definitions read every member and table entry as a set.
+    rec = {c: SimpleNamespace(**{f: frozenset(getattr(r, f)) for f in r._fields})
+           for c, r in a.components.items()}
+    a = SimpleNamespace(**{t: {k: frozenset(v) for k, v in getattr(a, t).items()}
+                           for t in ("chan_from_ch", "chan_from_var", "var_from", "var_to")})
     return {
         "composition_diff_levels": [
             (c,) for c in comps
