@@ -6,7 +6,7 @@ that level; the result is the empty set, not an error.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 
 from .model import Architecture, ChannelId, ComponentId, LevelId, LevelIndex, VariableId
 
@@ -21,33 +21,38 @@ def _index_on(a: Architecture, level: LevelId, c: ComponentId) -> LevelIndex | N
 def dsources(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
     """Components on the level whose output is wired directly into c."""
     index = _index_on(a, level, c)
-    return frozenset(chain.from_iterable(index.feeders[c])) if index else frozenset()
+    if not index:
+        return frozenset()
+    return frozenset(chain.from_iterable(map(index.producers.get, a.components[c].inputs, repeat(()))))
 
 
 def dacc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
     """Components on the level directly consuming an output of c."""
     index = _index_on(a, level, c)
-    return frozenset(chain.from_iterable(index.readers[c])) if index else frozenset()
+    if not index:
+        return frozenset()
+    return frozenset(chain.from_iterable(map(index.consumers.get, a.components[c].outputs, repeat(()))))
 
 
-def _closure(links, start) -> frozenset[ComponentId]:
-    # Multi-source walk: start plus every component reached from it through
-    # the component tuples `links` (a level index's feeders or readers) lists
-    # for each reached component. All of them lie on the level.
-    seen: set[ComponentId] = set(start)
+def _closure(links, joins, start) -> frozenset[ComponentId]:
+    # Multi-source walk over the nodes of a level index's feeders or readers:
+    # start plus every node reached from it, each entry read once. The join
+    # nodes among them, if the level has any, are dropped from the answer.
+    seen: set[str] = set(start)
     todo = list(seen)
     while todo:
-        for t in links[todo.pop()]:
-            for z in t:
-                if z not in seen:
-                    seen.add(z)
-                    todo.append(z)
+        for z in links[todo.pop()]:
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+    if joins:
+        seen.difference_update(joins)
     return frozenset(seen)
 
 
 def upstream(index: LevelIndex, start) -> frozenset[ComponentId]:
     """start (components on the index's level) plus everything feeding it."""
-    return _closure(index.feeders, start)
+    return _closure(index.feeders, index.joins, start)
 
 
 def sources(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
@@ -56,15 +61,13 @@ def sources(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[Compon
     c itself belongs to the result only when it lies on a cycle.
     """
     index = _index_on(a, level, c)
-    return upstream(index, chain.from_iterable(index.feeders[c])) if index else frozenset()
+    return upstream(index, index.feeders[c]) if index else frozenset()
 
 
 def acc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
     """Every component on the level that c's data can reach; dual of sources."""
     index = _index_on(a, level, c)
-    if not index:
-        return frozenset()
-    return _closure(index.readers, chain.from_iterable(index.readers[c]))
+    return _closure(index.readers, index.joins, index.readers[c]) if index else frozenset()
 
 
 def is_not_dsource(a: Architecture, level: LevelId, s: ComponentId) -> bool:

@@ -7,10 +7,10 @@ All tables are total: an identifier without an entry maps to ``()``.
 Identifier universes are closed once an Architecture is constructed. Model
 objects are equal by field and unhashable; their fields are not
 write-protected, and the package never writes them. The level indexes with
-their feeder and reader maps, the document-wide tables (``parents``,
-``levels_of``, ``producers``, ``targeted_by``, ``finest_first``) and
-``highperf_marks`` are built from the fields on first use, so a field written
-after that leaves later answers stale.
+their join nodes and feeder and reader maps, the document-wide tables
+(``parents``, ``levels_of``, ``producers``, ``targeted_by``,
+``finest_first``) and ``highperf_marks`` are built from the fields on first
+use, so a field written after that leaves later answers stale.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 from contextlib import contextmanager
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, countOf, ge, methodcaller
+from operator import attrgetter, countOf, ge, gt, itemgetter, methodcaller
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 ComponentId = str
@@ -267,13 +267,24 @@ class LevelIndex(_Fields):
     level's channel incidences; every level analysis reads it in place of a
     scan of the level.
 
-    ``feeders[c]`` and ``readers[c]``, for each member c, are the
-    ``producers[x]`` tuples of c's inputs and the ``consumers[x]`` tuples of
-    c's outputs that exist: references to the index's own tuples, so each
-    map's length is at most the level's incidences on its side. They are the
-    level's one component adjacency, which every direct and transitive
-    query and ``condense`` read. Each map is built in one pass over the
-    members on first use and takes no part in ==, repr or serialization.
+    ``feeders`` and ``readers`` are the level's one adjacency, which the
+    transitive walks and ``condense`` read; the direct queries read
+    ``producers`` and ``consumers``. Their entries are flat tuples of node
+    names. A node is a member or a join node: a channel with two or more
+    producers on the level stands for them as the node ``","`` + its name,
+    listed in ``joins``. No identifier holds a comma, so no join node is a
+    member's name. ``feeders[c]``, for each member c, names for each input of
+    c produced on the level its sole producer or its join node;
+    ``readers[c]`` names for each output of c consumed on the level its
+    consumers, or its join node when c shares the channel with other
+    producers. A join node's own entry is the index's ``producers[x]`` tuple
+    in ``feeders`` and ``consumers[x]`` tuple, when x has one, in
+    ``readers``: referenced, not copied. So c reaches p through the nodes
+    exactly when p feeds c, a shared channel costs one entry per producer
+    and per consumer however many there are, and the member entries of the
+    two maps hold at most twice the level's channel incidences. Each map is
+    built in one pass over the members on first use and takes no part in
+    ==, repr or serialization.
     """
 
     members: frozenset[ComponentId]
@@ -299,18 +310,34 @@ class LevelIndex(_Fields):
         )
 
     @cached_property
-    def feeders(self) -> Mapping[ComponentId, tuple[tuple[ComponentId, ...], ...]]:
-        return self._links(self.producers, "inputs")
+    def joins(self) -> tuple[str, ...]:
+        """The join nodes: ``","`` + each channel with two or more producers."""
+        producers = self.producers
+        shared = compress(producers, map(gt, map(len, producers.values()), repeat(1)))
+        return tuple(map(",".__add__, shared))
 
     @cached_property
-    def readers(self) -> Mapping[ComponentId, tuple[tuple[ComponentId, ...], ...]]:
-        return self._links(self.consumers, "outputs")
-
     @_collector_paused()
-    def _links(self, table, side: str) -> dict[ComponentId, tuple[tuple[ComponentId, ...], ...]]:
-        get, channels = table.get, attrgetter(side)
-        components = self._components
-        return {c: tuple(filter(None, map(get, channels(components[c])))) for c in self.members}
+    def feeders(self) -> Mapping[str, tuple[str, ...]]:
+        producers, components = self.producers, self._components
+        node = dict(zip(producers, map(itemgetter(0), producers.values())))  # channel -> node name
+        node.update((j[1:], j) for j in self.joins)
+        get = node.get
+        links = {c: tuple(filter(None, map(get, components[c].inputs))) for c in self.members}
+        links.update((j, producers[j[1:]]) for j in self.joins)
+        return links
+
+    @cached_property
+    @_collector_paused()
+    def readers(self) -> Mapping[str, tuple[str, ...]]:
+        consumers, components = self.consumers, self._components
+        joined = [j for j in self.joins if j[1:] in consumers]
+        node = dict(consumers)  # channel -> the names its producer's entry lists
+        node.update((j[1:], (j,)) for j in joined)
+        get, nothing = node.get, repeat(())
+        links = {c: tuple(_flat(map(get, components[c].outputs, nothing))) for c in self.members}
+        links.update((j, consumers[j[1:]]) for j in joined)
+        return links
 
 
 class Architecture(_Fields):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple
 
 from .model import Architecture, ChannelId, ComponentId, LevelId, Verdict, Witness, _post_order
@@ -43,22 +42,26 @@ def _canonical(
 def condense_level(a: Architecture, level: LevelId) -> LevelPartition:
     """Partition the level into strongly connected components of its graph.
 
-    Tarjan's algorithm with a stack of feeder iterators, so long paths meet
-    no recursion limit."""
-    feeders = a.level_index(level).feeders
-    number: dict[ComponentId, int] = {}
-    lowlink: dict[ComponentId, int] = {}
-    stack: list[ComponentId] = []
-    on_stack: set[ComponentId] = set()
-    sccs: list[set[ComponentId]] = []
+    Tarjan's algorithm over the nodes of the level's feeders map, rooted at
+    the members in name order, with a stack of entry iterators, so long paths
+    meet no recursion limit. A join node lies on a cycle only through its
+    producers and consumers, so dropping the join nodes from the groups leaves
+    the partition of the component graph, in time linear in the map's size."""
+    index = a.level_index(level)
+    feeders = index.feeders
+    number: dict[str, int] = {}
+    lowlink: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    sccs: list[set[str]] = []
 
-    def enter(c: ComponentId):
+    def enter(c: str):
         number[c] = lowlink[c] = len(number)
         stack.append(c)
         on_stack.add(c)
-        return c, chain.from_iterable(feeders[c])
+        return c, iter(feeders[c])
 
-    for root in sorted(feeders):
+    for root in sorted(index.members):
         if root in number:
             continue
         work = [enter(root)]
@@ -80,6 +83,9 @@ def condense_level(a: Architecture, level: LevelId) -> LevelPartition:
                 work.append(enter(child))
             elif child in on_stack:
                 lowlink[node] = min(lowlink[node], number[child])
+    if index.joins:  # a join node on no cycle is a group of its own
+        joins = frozenset(index.joins)
+        sccs = [g - joins for g in sccs if not g <= joins]
     return _canonical(a, level, sccs)
 
 

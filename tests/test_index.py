@@ -1,5 +1,6 @@
 import gc
 import time
+from functools import cached_property
 
 import pytest
 
@@ -50,51 +51,85 @@ def test_level_index_takes_no_part_in_equality(arch):
 
 
 def count_link_builds(monkeypatch) -> list:
-    """Record the side of every feeders or readers map built from now on."""
+    """Record the name of every feeders or readers map built from now on."""
     built = []
-    links = LevelIndex._links
+    for name in ("feeders", "readers"):
+        build = vars(LevelIndex)[name].func
 
-    def counting(self, table, side):
-        built.append(side)
-        return links(self, table, side)
+        def counting(self, build=build, name=name):
+            built.append(name)
+            return build(self)
 
-    monkeypatch.setattr(LevelIndex, "_links", counting)
+        link_map = cached_property(counting)
+        link_map.__set_name__(LevelIndex, name)
+        monkeypatch.setattr(LevelIndex, name, link_map)
     return built
 
 
-def test_link_maps_hold_the_index_tuples(arch):
+def check_link_maps(a: Architecture, level) -> None:
+    """The flat layout of the level's feeders and readers, entry by entry."""
+    index = a.level_index(level)
+    producers, consumers = index.producers, index.consumers
+    shared = {x for x, ps in producers.items() if len(ps) > 1}
+    assert set(index.joins) == {"," + x for x in shared}
+    assert len(index.joins) == len(shared) and index.members.isdisjoint(index.joins)
+
+    def node(x):
+        return "," + x if x in shared else producers[x][0]
+
+    assert set(index.feeders) == index.members | set(index.joins)
+    assert set(index.readers) == index.members | {"," + x for x in shared & consumers.keys()}
+    for c in index.members:
+        rec = a.components[c]
+        assert index.feeders[c] == tuple(node(x) for x in rec.inputs if x in producers)
+        assert index.readers[c] == tuple(
+            z
+            for x in rec.outputs
+            if x in consumers
+            for z in (("," + x,) if x in shared else consumers[x])
+        )
+    for x in shared:
+        assert index.feeders["," + x] is producers[x]
+        if x in consumers:
+            assert index.readers["," + x] is consumers[x]
+
+
+def test_link_maps_list_sole_producers_and_join_nodes(arch):
     for level in arch.levels:
-        index = arch.level_index(level)
-        for side, table, maps in (
-            ("inputs", index.producers, index.feeders),
-            ("outputs", index.consumers, index.readers),
-        ):
-            assert set(maps) == index.members
-            for c in index.members:
-                channels = getattr(arch.components[c], side)
-                assert sorted(map(id, maps[c])) == sorted(
-                    id(table[x]) for x in channels if x in table
-                )
+        check_link_maps(arch, level)
+        assert arch.level_index(level).joins == ()
+    # sA9 writes data17 beside sA7, so data17 has two producers on level0
+    tables = to_tables(arch)
+    tables["components"]["sA9"]["out"].append("data17")
+    shared = Architecture.create(**tables)
+    check_link_maps(shared, "level0")
+    index = shared.level_index("level0")
+    assert index.joins == (",data17",)
+    assert ",data17" in index.feeders["sA8"] and ",data17" in index.readers["sA9"]
 
 
-def test_first_direct_query_builds_the_link_map_that_condense_and_sources_reuse(arch, monkeypatch):
+def test_direct_queries_build_no_link_map_and_the_walks_build_each_once(arch, monkeypatch):
     built = count_link_builds(monkeypatch)
     fresh = Architecture.create(**to_tables(arch))
     index = fresh.level_index("level0")
-    assert built == []
     assert deps.dsources(fresh, "level0", "sA8") == {"sA7", "sA9"}
-    assert built == ["inputs"]
-    feeders = index.feeders
+    assert deps.dacc(fresh, "level0", "sA7") == {"sA8"}
     for c in index.members:
         deps.dsources(fresh, "level0", c)
+        deps.dacc(fresh, "level0", c)
+    assert built == []
     optimize.condense_level(fresh, "level0")
+    assert built == ["feeders"]
+    feeders = index.feeders
     deps.sources(fresh, "level0", "sA8")
+    slicing.slice_report(fresh, "level0", ["data10"])
     assert index.feeders is feeders
-    assert deps.dacc(fresh, "level0", "sA7") == {"sA8"}
-    readers = index.readers
+    assert built == ["feeders"]
     deps.acc(fresh, "level0", "sA7")
+    readers = index.readers
+    deps.acc(fresh, "level0", "sA8")
     assert index.readers is readers
-    assert built == ["inputs", "outputs"]
+    assert built == ["feeders", "readers"]
 
 
 def test_first_transitive_query_builds_the_link_map_once(arch, monkeypatch):
@@ -102,7 +137,7 @@ def test_first_transitive_query_builds_the_link_map_once(arch, monkeypatch):
     fresh = Architecture.create(**to_tables(arch))
     index = fresh.level_index("level2")
     deps.sources(fresh, "level2", "sS4")
-    assert built == ["inputs"]
+    assert built == ["feeders"]
     feeders = index.feeders
     slicing.slice_report(fresh, "level2", ["data2"])
     slicing.min_set_of_components(fresh, "level2", ["data2"])
@@ -112,7 +147,7 @@ def test_first_transitive_query_builds_the_link_map_once(arch, monkeypatch):
     readers = index.readers
     deps.acc(fresh, "level2", "sS4")
     assert index.readers is readers
-    assert built == ["inputs", "outputs"]
+    assert built == ["feeders", "readers"]
 
 
 def test_link_maps_take_no_part_in_equality_or_repr(arch):
@@ -134,7 +169,19 @@ def test_transitive_queries_on_2000_hub():
         assert time.perf_counter() - start < 1.0
         assert result == index.members and len(result) == 2 * k
     incidences = sum(len(rec.inputs) + len(rec.outputs) for rec in a.components.values())
-    assert sum(map(len, index.feeders.values())) + sum(map(len, index.readers.values())) <= incidences
+    member_entries = (len(links[c]) for links in (index.feeders, index.readers) for c in index.members)
+    assert sum(member_entries) <= incidences
+    assert index.joins == (",hub",)
+    assert index.feeders[",hub"] is index.producers["hub"]
+    assert index.readers[",hub"] is index.consumers["hub"]
+
+
+def test_condense_on_2000_hub_under_one_second():
+    a = hub(2_000)
+    start = time.perf_counter()
+    partition = optimize.condense_level(a, "L0")
+    assert time.perf_counter() - start < 1.0
+    assert partition.groups == (a.levels["L0"],)
 
 
 def chain(n: int) -> Architecture:

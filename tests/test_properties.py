@@ -3,7 +3,7 @@ import random
 import time
 from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from archdeps import deps, elementary, ingest, optimize, slicing, validate
@@ -210,6 +210,36 @@ def test_condensation_matches_scc_oracle(seed):
             members, dependency_edges(a, level)
         )
         assert set(optimize.condense_level(a, level).groups) == expected
+
+
+@given(seeds)
+def test_answers_hold_no_join_node(seed):
+    a = build(seed)
+    for level in a.levels:
+        index = a.level_index(level)
+        members, joins = index.members, set(index.joins)
+        assert members.isdisjoint(joins)
+        answers = [
+            query(a, level, c)
+            for c in members
+            for query in (deps.dsources, deps.dacc, deps.sources, deps.acc)
+        ]
+        for chset in ([x] for x in index.producers):
+            report = slicing.slice_report(a, level, chset)
+            answers += [report.out_components, report.min_components]
+            answers.append(slicing.min_set_of_components(a, level, chset))
+        answers += optimize.condense_level(a, level).groups
+        assert all(answer <= members for answer in answers)
+        if not joins:
+            continue
+        event("level with join nodes")
+        edges = dependency_edges(a, level)
+        closure = reachability_pairs(edges)
+        for c in members:
+            assert deps.sources(a, level, c) == {s for (s, t) in closure if t == c}
+            assert deps.acc(a, level, c) == {t for (s, t) in closure if s == c}
+        groups = set(optimize.condense_level(a, level).groups)
+        assert groups == mutual_reachability_classes(members, edges)
 
 
 @given(seeds)
