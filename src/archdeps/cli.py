@@ -205,7 +205,7 @@ def _cmd_classify(a: Architecture, args) -> _Result:
     a.require_level(args.level)
     result = {
         x: validate.classify_channel(a, x, args.level).value
-        for x in sorted(a.chan_from_ch)
+        for x in a.chan_from_ch
     }
     return result, "".join(f"{chan}: {kind}\n" for chan, kind in result.items()), EXIT_OK
 

@@ -80,7 +80,7 @@ def is_not_dsource_for(
     a: Architecture, level: LevelId, s: ComponentId, c: ComponentId
 ) -> bool:
     """True when c (on the level) consumes no output of s."""
-    members = a.level_components(level)
+    members = a.level_index(level).members
     outputs = a.outputs_of(s)
     a.require_component(c)
     return c not in members or outputs.isdisjoint(a.components[c].inputs)

@@ -51,7 +51,6 @@ def is_elementary(a: Architecture, c: ComponentId) -> bool:
 def elementary_report(
     a: Architecture, level: LevelId
 ) -> dict[ComponentId, bool]:
-    """Elementary verdict for every component on the level, sorted by name."""
-    return {
-        c: is_elementary(a, c) for c in sorted(a.level_components(level))
-    }
+    """Elementary verdict for every component on the level, in name order."""
+    a.require_level(level)
+    return {c: is_elementary(a, c) for c in a.levels[level]}

@@ -96,9 +96,9 @@ def serialize(a: Architecture) -> str:
 
     The bytes are those of ``json.dumps(tables, indent=2, sort_keys=True)``,
     written directly: with ``indent`` json.dumps runs its pure-Python encoder.
-    Each distinct name is quoted once per call. Members and table entries are
-    written as the model holds them, in name order; only the level members
-    and the two arrays, held as sets, are sorted.
+    Each distinct name is quoted once per call. Components, tables, members,
+    table entries and levels are written as the model holds them, in name
+    order; only the two arrays, held as sets, are sorted.
     """
     quoted = _Quoted()  # the four universes hold every name of a created model
     for names in (a.components, a.chan_from_ch, a.var_from, a.levels):
@@ -112,24 +112,21 @@ def serialize(a: Architecture) -> str:
         return [head + sep.join(map(quote, s)) + tail if s else "[]" for s in entries]
 
     def obj(keys, members, pad: str) -> str:
-        # One JSON object from its sorted keys and their member texts.
+        # One JSON object from its keys, in name order, and their member texts.
         head, sep, tail = "{" + pad + "  ", "," + pad + "  ", pad + "}"
         pairs = map("{}: {}".format, map(quote, keys), members)
         return head + sep.join(pairs) + tail if keys else "{}"
 
     def table(mapping) -> str:
-        keys = sorted(mapping)
-        return obj(keys, arrays(map(mapping.__getitem__, keys), "\n    "), "\n  ")
+        return obj(mapping, arrays(mapping.values(), "\n    "), "\n  ")
 
-    names = sorted(a.components)
-    records = list(map(a.components.__getitem__, names))
+    records = a.components.values()
     leaf = "\n      "
     fields = ("inputs", "outputs", "subcomponents", "vars")  # the members' key order
     columns = (arrays(map(attrgetter(f), records), leaf) for f in fields)
-    members = {key: table(getattr(a, key)) for key in _TABLES[1:]}
-    members["levels"] = table({lvl: sorted(m) for lvl, m in a.levels.items()})  # members are sets
+    members = {key: table(getattr(a, key)) for key in _TABLES}
     members.update(zip(_ARRAYS, arrays(map(sorted, attrgetter(*_ARRAYS)(a)), "\n  ")))
-    members["components"] = obj(names, [
+    members["components"] = obj(a.components, [
         f'{{{leaf}"in": {i},{leaf}"out": {o},{leaf}"subcomp": {s},{leaf}"var": {v}\n    }}'
         for i, o, s, v in zip(*columns)
     ], "\n  ")
@@ -154,7 +151,7 @@ def export_dot(a: Architecture, level: LevelId) -> str:
     names = [*index.members, *index.producers]  # every node, and every channel an edge carries
     ids = dict(zip(names, map(_dot_id, names)))
     lines = [f"digraph {_dot_id(level)} {{"]
-    for node in sorted(index.members):
+    for node in a.levels[level]:
         attrs = ""
         if node in marks:
             attrs = " [fillcolor=lightgreen,style=filled]"

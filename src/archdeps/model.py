@@ -1,16 +1,17 @@
 """Architecture model: components, channels, variables, levels.
 
-Every component member and table entry is a tuple of names in name order, each
-once (loading drops a repeat); level members and the two arrays are
-frozensets, and so are the named lookups' answers (``inputs_of`` and so on).
-All tables are total: an identifier without an entry maps to ``()``.
-Identifier universes are closed once an Architecture is constructed. Model
-objects are equal by field and unhashable; their fields are not
-write-protected, and the package never writes them. The level indexes with
-their join nodes and feeder and reader maps, the document-wide tables
-(``parents``, ``levels_of``, ``producers``, ``targeted_by``,
-``finest_first``) and ``highperf_marks`` are built from the fields on first
-use, so a field written after that leaves later answers stale.
+Name order is fixed once, in ``Architecture.create``: every component member,
+table entry and level is a tuple of names in name order, each once (loading
+drops a repeat), and every mapping iterates in name order. Only the two arrays
+and the named lookups' answers (``inputs_of`` and so on) are frozensets; the
+bare constructor expects what ``create`` builds. All tables are total: an
+identifier without an entry maps to ``()``. Identifier universes are closed
+once an Architecture is constructed. Model objects are equal by field and
+unhashable; their fields are not write-protected, and the package never
+writes them. The level indexes with their join nodes and feeder and reader
+maps, the document-wide tables (``parents``, ``levels_of``, ``producers``,
+``targeted_by``, ``finest_first``) and ``highperf_marks`` are built from the
+fields on first use, so a field written after that leaves later answers stale.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def _check_shape(components: object, tables: dict[str, object], arrays: dict[str
     layout puts there: a mapping for ``components``, each spec (with member
     keys only) and each table; a collection of string names, not a string or
     a mapping, for each member, table entry and array. Return whether every
-    member and table entry lists its names strictly increasing already.
+    member, table entry and level lists its names strictly increasing already.
 
     Type-set tests over whole columns and a join of their names pass plain
     dicts, lists, tuples, sets and strings in C loops; the per-entry walk
@@ -148,13 +149,12 @@ def _check_shape(components: object, tables: dict[str, object], arrays: dict[str
     if type(components) is dict and set(map(type, tables.values())) <= {dict}:
         specs = components.values()
         if set(map(type, specs)) <= {dict} and _MEMBER_SET.issuperset(_flat(specs)):
-            entries = [*_flat(map(dict.values, [*specs, *[tables[t] for t in _TABLES[1:]]]))]
-            sets = [*tables["levels"].values(), *arrays.values()]  # held as sets, in no order
-            if set(map(type, entries)) | set(map(type, sets)) <= _NAME_COLLECTIONS:
+            entries = [*_flat(map(dict.values, [*specs, *tables.values()]))]
+            if set(map(type, entries)) | set(map(type, arrays.values())) <= _NAME_COLLECTIONS:
                 entries = list(filter(None, entries))
                 names = list(_flat(_flat(zip(entries, repeat(("",))))))
                 try:  # join raises a TypeError unless every name is a string
-                    "".join(names) + "".join(_flat(sets))
+                    "".join(names) + "".join(_flat(arrays.values()))
                 except TypeError:
                     pass
                 else:
@@ -224,13 +224,13 @@ def _post_order(
 ) -> list[ComponentId]:
     """The roots and every component below them, each after its subcomponents.
 
-    Roots and children are visited in name order, and the walk is iterative,
-    so depth meets no recursion limit. Raises SubcomponentCycleError, naming
-    the first cycle met, when the relation below the roots is cyclic.
+    Roots are taken in the order given, children in name order; the walk is
+    iterative, so depth meets no recursion limit. Raises SubcomponentCycleError,
+    naming the first cycle met, when the relation below the roots is cyclic.
     """
     done: dict[ComponentId, bool] = {}  # False while on the path
     order: list[ComponentId] = []
-    for root in sorted(roots):
+    for root in roots:
         if root in done:
             continue
         done[root] = False
@@ -287,7 +287,7 @@ class LevelIndex(_Fields):
     ==, repr or serialization.
     """
 
-    members: frozenset[ComponentId]
+    members: frozenset[ComponentId]  # the level's one set, for membership tests
     producers: Mapping[ChannelId, tuple[ComponentId, ...]]
     consumers: Mapping[ChannelId, tuple[ComponentId, ...]]
     _fields = tuple(__annotations__)
@@ -299,11 +299,11 @@ class LevelIndex(_Fields):
     @classmethod
     @_collector_paused()
     def build(
-        cls, components: Mapping[ComponentId, ComponentRecord], members: frozenset[ComponentId]
+        cls, components: Mapping[ComponentId, ComponentRecord], members: tuple[ComponentId, ...]
     ) -> "LevelIndex":
-        records = [(c, components[c]) for c in sorted(members)]
+        records = [(c, components[c]) for c in members]
         return cls(
-            members=members,
+            members=frozenset(members),
             producers=_inverse((c, rec.outputs) for c, rec in records),
             consumers=_inverse((c, rec.inputs) for c, rec in records),
             components=components,
@@ -344,14 +344,16 @@ class Architecture(_Fields):
     """Complete, validated analysis input.
 
     Construct through :meth:`create`, which normalizes the tables and
-    enforces referential closure and subcomponent acyclicity. The level
-    indexes and the document-wide tables are cached in the instance
-    ``__dict__``, outside the fields, so they take no part in ==, repr or
-    serialization.
+    enforces referential closure and subcomponent acyclicity. The bare
+    constructor takes what ``create`` builds, unchecked and unsorted: mappings
+    that iterate in name order, name-ordered tuples for members, table
+    entries and levels, and frozensets for the two arrays. The level indexes
+    and the document-wide tables are cached in the instance ``__dict__``,
+    outside the fields, so they take no part in ==, repr or serialization.
     """
 
     components: Mapping[ComponentId, ComponentRecord]
-    levels: Mapping[LevelId, frozenset[ComponentId]]
+    levels: Mapping[LevelId, tuple[ComponentId, ...]]
     chan_from_ch: Mapping[ChannelId, tuple[ChannelId, ...]]
     chan_from_var: Mapping[ChannelId, tuple[VariableId, ...]]
     var_from: Mapping[VariableId, tuple[ChannelId, ...]]
@@ -383,8 +385,8 @@ class Architecture(_Fields):
         highperf_components: Collection[ComponentId] = (),
     ) -> "Architecture":
         """Check the shape, fill in missing members and tables, check every
-        name, reference and the subcomponent relation; freeze each member and
-        table entry as a name-ordered tuple without repeats.
+        name, reference and the subcomponent relation; freeze each member,
+        table entry and level as a name-ordered tuple without repeats.
 
         ``components``, each spec and each table are mappings (``None`` is an
         absent table), a spec's keys are among ``in``, ``out``, ``var`` and
@@ -428,8 +430,8 @@ class Architecture(_Fields):
 
         # Every table total: each key of its universe, in name order, with its entry or ().
         chan_order, var_order = sorted(chan_universe), sorted(var_universe)
-        frozen = {"levels": {lvl: frozenset(levels[lvl]) for lvl in sorted(levels)}}
-        for key, keys in zip(_TABLES[1:], (chan_order, chan_order, var_order, var_order)):
+        frozen = {}
+        for key, keys in zip(_TABLES, (sorted(levels), chan_order, chan_order, var_order, var_order)):
             frozen[key] = dict(zip(keys, map(entry, map(tables[key].get, keys, repeat(())))))
         highload, highperf = frozenset(highload_channels), frozenset(highperf_components)
 
@@ -463,7 +465,7 @@ class Architecture(_Fields):
         )
         # Raises on a cycle: HighPerf recursion and level flattening need none.
         # A component without subcomponents closes no cycle, so no walk starts there.
-        _post_order(arch.components, compress(names, subs))
+        _post_order(arch.components, [c for c in by_name if records[c].subcomponents])
         return arch
 
     @property
@@ -502,7 +504,7 @@ class Architecture(_Fields):
 
     def level_components(self, level: LevelId) -> frozenset[ComponentId]:
         self.require_level(level)
-        return self.levels[level]
+        return frozenset(self.levels[level])
 
     # -- per-level index (built on first use, not a field) ------------------
 

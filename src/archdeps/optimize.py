@@ -61,7 +61,7 @@ def condense_level(a: Architecture, level: LevelId) -> LevelPartition:
         on_stack.add(c)
         return c, iter(feeders[c])
 
-    for root in sorted(index.members):
+    for root in a.levels[level]:
         if root in number:
             continue
         work = [enter(root)]
@@ -97,7 +97,7 @@ def highload_grouping(a: Architecture, level: LevelId) -> LevelPartition:
     components of that relation, so shared inputs also merge.
     """
     index = a.level_index(level)
-    members = sorted(index.members)
+    members = a.levels[level]
     parent = {c: c for c in members}
 
     def find(c: ComponentId) -> ComponentId:
@@ -155,9 +155,10 @@ def verify_level_refinement(
     then the uncovered fine components by name; see ``RefinementReport``
     for the entities each names.
     """
-    fine_members = a.level_components(fine)
-    coarse_members = sorted(a.level_components(coarse))
-    atoms = _atoms(a, fine_members.union(coarse_members))
+    a.require_level(fine)
+    a.require_level(coarse)
+    fine_members, coarse_members = a.levels[fine], a.levels[coarse]
+    atoms = _atoms(a, (*fine_members, *coarse_members))
     # Atom sets are never empty, so a fine component whose atoms lie inside
     # a coarse component's shares one of them: look it up by atom.
     fine_by_atom: dict[ComponentId, list[ComponentId]] = {}
@@ -184,6 +185,7 @@ def verify_level_refinement(
                 ))
             else:
                 covered[f] = c
-    for f in sorted(fine_members - set(covered)):
-        witnesses.append(Witness((f,), f"{f} is covered by no component on {coarse}"))
+    for f in fine_members:
+        if f not in covered:
+            witnesses.append(Witness((f,), f"{f} is covered by no component on {coarse}"))
     return RefinementReport(tuple(witnesses))

@@ -36,10 +36,11 @@ Witnesses = Iterator[Witness]
 
 
 def _composition_diff_levels(a: Architecture, comps: Iterable[ComponentId]) -> Witnesses:
+    # levels_of on both sides: a scan of c's levels would cost a whole level per component.
     levels_of = a.levels_of
     for c in comps:
-        subs = a.components[c].subcomponents
-        if subs and any(not a.levels[lvl].isdisjoint(subs) for lvl in levels_of.get(c, ())):
+        mine, subs = levels_of.get(c), a.components[c].subcomponents
+        if subs and mine and any(lvl in mine for s in subs for lvl in levels_of.get(s, ())):
             yield Witness((c,), f"{c} shares a level with one of its subcomponents")
 
 
@@ -114,7 +115,7 @@ def _outfromv2(a: Architecture, chans: Iterable[ChannelId]) -> Witnesses:
 
 def _varto_mismatches(a: Architecture) -> Witnesses:
     targeted_by = a.targeted_by
-    for x in sorted(a.chan_from_var):
+    for x in a.chan_from_var:
         for v in sorted(set(a.chan_from_var[x]).symmetric_difference(targeted_by.get(x, ()))):
             yield Witness((x, v), f"chan_from_var/var_to disagree on ({x}, {v})")
 
@@ -128,9 +129,7 @@ def _fine_var_escapes(
 ) -> Witnesses:
     levels = _default_level_pair(a) if levels is None else levels
     table = a.var_from if side == "inputs" else a.var_to
-    members: set[ComponentId] = set()
-    for lvl in levels:
-        members |= a.level_components(lvl)
+    members = set().union(*map(a.level_components, levels))
     for z in sorted(members):
         ref = set(getattr(a.components[z], side))
         for v in a.components[z].vars:
@@ -139,7 +138,7 @@ def _fine_var_escapes(
 
 
 def _useless_vars(a: Architecture) -> Witnesses:
-    for v in sorted(a.var_to):
+    for v in a.var_to:
         if not a.var_to[v]:
             yield Witness((v,), f"{v} feeds no output channel")
 
@@ -244,15 +243,15 @@ def classify_channel(a: Architecture, x: ChannelId, level: LevelId) -> ChannelCl
 
 # Every predicate once, in report order, as its witnesses over the whole document.
 _PREDICATES: dict[str, Callable[[Architecture], Witnesses]] = {
-    "composition_diff_levels": lambda a: _composition_diff_levels(a, sorted(a.components)),
-    "composition_var": lambda a: _composition_var(a, sorted(a.components)),
-    "decomposition_var": lambda a: _decomposition_var(a, sorted(a.components)),
-    "composition_out": lambda a: _composition_out(a, sorted(a.chan_from_ch)),
-    "composition_subcomp": lambda a: _composition_subcomp(a, sorted(a.components)),
-    "all_components_used": lambda a: _unused_components(a, sorted(a.components)),
-    "outfromch_correct": lambda a: _deps_outside_producers(a, sorted(a.chan_from_ch), "inputs"),
-    "outfromv_correct1": lambda a: _deps_outside_producers(a, sorted(a.chan_from_ch), "vars"),
-    "outfromv_correct2": lambda a: _outfromv2(a, sorted(a.chan_from_ch)),
+    "composition_diff_levels": lambda a: _composition_diff_levels(a, a.components),
+    "composition_var": lambda a: _composition_var(a, a.components),
+    "decomposition_var": lambda a: _decomposition_var(a, a.components),
+    "composition_out": lambda a: _composition_out(a, a.chan_from_ch),
+    "composition_subcomp": lambda a: _composition_subcomp(a, a.components),
+    "all_components_used": lambda a: _unused_components(a, a.components),
+    "outfromch_correct": lambda a: _deps_outside_producers(a, a.chan_from_ch, "inputs"),
+    "outfromv_correct1": lambda a: _deps_outside_producers(a, a.chan_from_ch, "vars"),
+    "outfromv_correct2": lambda a: _outfromv2(a, a.chan_from_ch),
     "outfromv_varto_consistent": _varto_mismatches,
     "varfrom_correct": lambda a: _fine_var_escapes(a, None, "inputs"),
     "varto_correct": lambda a: _fine_var_escapes(a, None, "outputs"),

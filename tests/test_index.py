@@ -12,7 +12,7 @@ from .conftest import hub, to_tables
 
 def test_level_index_producers_and_consumers(arch):
     index = arch.level_index("level2")
-    assert index.members == arch.level_components("level2")
+    assert type(index.members) is frozenset and index.members == set(arch.levels["level2"])
     assert index.producers["data2"] == ("sS2",)
     assert index.consumers["data2"] == ("sS3", "sS4", "sS6")
     assert arch.level_index("level0").producers["data10"] == ("sA1",)
@@ -181,7 +181,7 @@ def test_condense_on_2000_hub_under_one_second():
     start = time.perf_counter()
     partition = optimize.condense_level(a, "L0")
     assert time.perf_counter() - start < 1.0
-    assert partition.groups == (a.levels["L0"],)
+    assert partition.groups == (frozenset(a.levels["L0"]),)
 
 
 def chain(n: int) -> Architecture:
@@ -309,6 +309,23 @@ def test_validate_all_on_20001_component_hierarchy_is_near_linear():
     assert time.perf_counter() - start < 2.0
     assert report.all_hold
     assert len(a.components) == 20_001
+
+
+def test_validate_all_on_two_20000_component_levels_is_near_linear():
+    # Each coarse component on L1 has one subcomponent on L0: composition_diff_levels
+    # asks, per component, whether a level of its own holds a subcomponent.
+    k = 20_000
+    a = Architecture.create(
+        components={
+            **{f"f{i}": {} for i in range(k)},
+            **{f"c{i}": {"subcomp": [f"f{i}"]} for i in range(k)},
+        },
+        levels={"L0": [f"f{i}" for i in range(k)], "L1": [f"c{i}" for i in range(k)]},
+    )
+    start = time.perf_counter()
+    report = validate.validate_all(a)
+    assert time.perf_counter() - start < 2.0
+    assert report.all_hold
 
 
 def test_index_builds_restore_the_collector_state(arch, collector_enabled):

@@ -236,9 +236,15 @@ def test_members_and_entries_are_name_ordered_tuples_without_repeats(seed):
         rng.shuffle(names)
         return names
 
+    def shuffled(mapping: dict) -> dict:
+        # the keys in a random order
+        return {k: mapping[k] for k in rng.sample(list(mapping), len(mapping))}
+
     tables = {
-        "components": {c: {m: messy(v) for m, v in spec.items()} for c, spec in clean["components"].items()},
-        **{t: {k: messy(v) for k, v in clean[t].items()} for t in ("levels", *ENTRY_TABLES)},
+        "components": shuffled(
+            {c: {m: messy(v) for m, v in spec.items()} for c, spec in clean["components"].items()}
+        ),
+        **{t: shuffled({k: messy(v) for k, v in clean[t].items()}) for t in ("levels", *ENTRY_TABLES)},
         "highload_channels": messy(clean["highload_channels"]),
         "highperf_components": messy(clean["highperf_components"]),
     }
@@ -257,6 +263,12 @@ def test_members_and_entries_are_name_ordered_tuples_without_repeats(seed):
     for t in ENTRY_TABLES:
         for k, value in getattr(a, t).items():
             assert canonical(value, tables[t].get(k, ()))
+    for level, value in a.levels.items():
+        assert canonical(value, tables["levels"][level])
+        assert type(a.level_components(level)) is frozenset
+    for t in ("components", "levels", *ENTRY_TABLES):
+        keys = list(getattr(a, t))
+        assert keys == sorted(keys)
     assert a == Architecture.create(**clean)
     assert ingest.parse(json.dumps(tables)) == a
     assert ingest.parse(ingest.serialize(a)) == a
@@ -271,7 +283,9 @@ def test_members_and_entries_are_untracked_after_one_collection():
     records = a.components.values()
     entries = [
         *chain.from_iterable((r.inputs, r.outputs, r.vars, r.subcomponents) for r in records),
-        *chain.from_iterable(getattr(a, t).values() for t in ENTRY_TABLES),
+        *chain.from_iterable(getattr(a, t).values() for t in ("levels", *ENTRY_TABLES)),
     ]
-    assert len(entries) == 4 * len(records) + 2 * len(a.chan_from_ch) + 2 * len(a.var_from)
+    assert len(entries) == (
+        4 * len(records) + len(a.levels) + 2 * len(a.chan_from_ch) + 2 * len(a.var_from)
+    )
     assert not any(map(gc.is_tracked, entries))

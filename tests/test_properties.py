@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 import time
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from archdeps import deps, elementary, ingest, optimize, slicing, validate
+from archdeps import deps, elementary, ingest, model, optimize, slicing, validate
 from archdeps.model import Architecture
 
 from .conftest import (
@@ -322,7 +323,7 @@ def test_high_perf_matches_descendant_walk(seed):
     for part in (optimize.condense_level(a, "L"), optimize.highload_grouping(a, "L")):
         assert part.high_perf == tuple(bool(g & expected) for g in part.groups)
     dot = ingest.export_dot(a, "L")
-    assert {c for c in a.levels["L"] if f'"{c}" [fillcolor' in dot} == expected & a.levels["L"]
+    assert {c for c in a.levels["L"] if f'"{c}" [fillcolor' in dot} == expected & set(a.levels["L"])
 
 
 def random_refinement(rng: random.Random):
@@ -433,6 +434,10 @@ def test_serialize_parse_round_trip(seed):
     text = ingest.serialize(a)
     assert ingest.parse(text) == a
     assert ingest.serialize(ingest.parse(text)) == text
+    # Every entry and level is written in name order, so a reload takes create's copy path.
+    doc = json.loads(text)
+    parts = [{key: doc[key] for key in keys} for keys in (model._TABLES, model._ARRAYS)]
+    assert model._check_shape(doc["components"], *parts) is True
 
 
 @given(seeds)
@@ -509,9 +514,9 @@ def test_validate_all_never_crashes_and_reports_everything(seed):
 def brute_force_witnesses(a) -> dict:
     """Every predicate's witness entity tuples, transcribed from its definition."""
     comps, chans, variables = sorted(a.components), sorted(a.chan_from_ch), sorted(a.var_from)
-    levels = a.levels.values()
     members = set().union(*(a.levels[lvl] for lvl in validate._default_level_pair(a)))
-    # The definitions read every member and table entry as a set.
+    # The definitions read every member, table entry and level as a set.
+    levels = [frozenset(m) for m in a.levels.values()]
     rec = {c: SimpleNamespace(**{f: frozenset(getattr(r, f)) for f in r._fields})
            for c, r in a.components.items()}
     a = SimpleNamespace(**{t: {k: frozenset(v) for k, v in getattr(a, t).items()}
