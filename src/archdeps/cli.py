@@ -35,7 +35,10 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:  # the encoding lacks a character of a name; nothing is written
+            raise OSError(f"stdout cannot encode {exc.object[exc.start:exc.end]!r} as {exc.encoding}") from exc
 
 
 def _dump_json(obj) -> str:

@@ -10,9 +10,6 @@ from operator import attrgetter
 from .model import _ARRAYS, _TABLES, Architecture, LevelId, ModelError, _collector_paused, _ShapeError
 
 _TOP_LEVEL = ("components", *_TABLES, *_ARRAYS)  # Architecture.create's parameters
-# Stands in for a top-level null, which create would read as an absent table:
-# neither an object nor names, so create names its place.
-_NULL = object()
 # A shape breach in the document's terms, by what belongs at the place; an
 # unknown member reads the same in both.
 _WORDING = {"mapping": "{} must be an object", "names": "{} must be an array of identifier strings"}
@@ -65,8 +62,6 @@ def parse(doc: str) -> Architecture:
         unknown = sorted(set(raw) - set(_TOP_LEVEL))
         if unknown:
             raise DocumentError(f"unknown top-level members: {', '.join(unknown)}")
-        if None in raw.values():
-            raw = {key: _NULL if value is None else value for key, value in raw.items()}
         try:
             return Architecture.create(**raw)
         except _ShapeError as exc:

@@ -1,17 +1,19 @@
 """Architecture model: components, channels, variables, levels.
 
-Name order is fixed once, in ``Architecture.create``: every component member,
-table entry and level is a tuple of names in name order, each once (loading
-drops a repeat), and every mapping iterates in name order. Only the two arrays
-and the named lookups' answers (``inputs_of`` and so on) are frozensets; the
-bare constructor expects what ``create`` builds. All tables are total: an
-identifier without an entry maps to ``()``. Identifier universes are closed
-once an Architecture is constructed. Model objects are equal by field and
-unhashable; their fields are not write-protected, and the package never
-writes them. The level indexes with their join nodes and feeder and reader
-maps, the document-wide tables (``parents``, ``levels_of``, ``producers``,
-``targeted_by``, ``finest_first``) and ``highperf_marks`` are built from the
-fields on first use, so a field written after that leaves later answers stale.
+``Architecture.create`` takes the containers ``json.loads`` builds, by exact
+type: dicts for ``components``, specs and tables, and lists (or tuples, sets,
+frozensets) of strings for members, table entries and arrays. ``None`` is a
+breach, never an absent table. Name order is fixed there once: every member,
+table entry and level is a tuple of names in name order, each once, and every
+mapping iterates in name order. Only the two arrays and the named lookups'
+answers (``inputs_of`` and so on) are frozensets; the bare constructor expects
+what ``create`` builds. All tables are total: an identifier without an entry
+maps to ``()``. An Architecture and a ComponentRecord are equal by field and
+unhashable; their fields are not write-protected, and the package never writes
+them. The level indexes (compared by identity) and the document-wide tables
+(``parents``, ``levels_of``, ``producers``, ``targeted_by``, ``finest_first``,
+``highperf_marks``) are caches built on first use, outside the fields, so a
+field written after that leaves later answers stale.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ _TABLES = ("levels", "chan_from_ch", "chan_from_var", "var_from", "var_to")
 _ARRAYS = ("highload_channels", "highperf_components")
 _MEMBER_SET = frozenset(_MEMBERS)
 _flat = chain.from_iterable
-_NAME_COLLECTIONS = frozenset({list, tuple, set, frozenset})  # others pass the per-entry walk
+_NAME_COLLECTIONS = frozenset({list, tuple, set, frozenset})  # what a member, entry or array may be
+_ABSENT: dict = {}  # create's default for components and each table; never written
 
 
 @contextmanager
@@ -133,18 +136,17 @@ def _collector_paused() -> Iterator[None]:
 
 def _check_shape(components: object, tables: dict[str, object], arrays: dict[str, object]) -> bool:
     """Raise _ShapeError for the first place, in document order (components,
-    the tables, the arrays, each in entry order), that does not hold what the
-    layout puts there: a mapping for ``components``, each spec (with member
-    keys only) and each table; a collection of string names, not a string or
-    a mapping, for each member, table entry and array. Return whether every
-    member, table entry and level lists its names strictly increasing already.
+    the tables, the arrays, each in entry order), not holding a dict (for
+    ``components``, each spec, with member keys only, and each table) or a
+    list, tuple, set or frozenset of strings (for each member, table entry and
+    array). Return whether every member, table entry and level lists its names
+    strictly increasing already.
 
-    Type-set tests over whole columns and a join of their names pass plain
-    dicts, lists, tuples, sets and strings in C loops; the per-entry walk
-    (which answers False) runs only when one fails. The order test compares
-    neighbours over the non-empty entries, each followed by "", which sorts
-    before any name: when every entry is in order, only its (last, "") pairs
-    fail to increase.
+    Type-set tests over whole columns and a join of their names decide in C
+    loops; only when one fails does the per-entry walk, making the same tests,
+    run to name the breach. The order test compares neighbours over the
+    non-empty entries, each followed by "", which sorts before any name: when
+    every entry is in order, only its (last, "") pairs fail to increase.
     """
     if type(components) is dict and set(map(type, tables.values())) <= {dict}:
         specs = components.values()
@@ -161,12 +163,12 @@ def _check_shape(components: object, tables: dict[str, object], arrays: dict[str
                     return countOf(map(ge, names, islice(names, 1, None)), True) == len(entries)
 
     def mapping(where: str, value: object) -> None:
-        if not isinstance(value, Mapping):
+        if type(value) is not dict:
             raise _ShapeError(where, "mapping", f"must be a mapping, not {type(value).__name__}")
 
     def names(where: str, value: object) -> None:
         kind = type(value).__name__
-        if not isinstance(value, (str, Mapping)) and isinstance(value, Collection):
+        if type(value) in _NAME_COLLECTIONS:
             odd = [name for name in value if not isinstance(name, str)]
             if not odd:
                 return
@@ -188,7 +190,6 @@ def _check_shape(components: object, tables: dict[str, object], arrays: dict[str
             names(f"{key}[{owner}]", value)
     for key, value in arrays.items():
         names(key, value)
-    return False
 
 
 def _check_names(kind: str, universe: Collection[object], in_order: Iterable[object]) -> None:
@@ -258,14 +259,14 @@ def _post_order(
     return order
 
 
-class LevelIndex(_Fields):
+class LevelIndex:
     """Who produces and who consumes each channel on one level.
 
     ``producers[x]`` and ``consumers[x]`` are the level's components, in name
     order, with x among their outputs or inputs. A channel no component on
     the level touches has no entry. Building it costs one pass over the
     level's channel incidences; every level analysis reads it in place of a
-    scan of the level.
+    scan of the level. It is a cache, compared by identity.
 
     ``feeders`` and ``readers`` are the level's one adjacency, which the
     transitive walks and ``condense`` read; the direct queries read
@@ -283,31 +284,20 @@ class LevelIndex(_Fields):
     exactly when p feeds c, a shared channel costs one entry per producer
     and per consumer however many there are, and the member entries of the
     two maps hold at most twice the level's channel incidences. Each map is
-    built in one pass over the members on first use and takes no part in
-    ==, repr or serialization.
+    built in one pass over the members on first use.
     """
 
     members: frozenset[ComponentId]  # the level's one set, for membership tests
     producers: Mapping[ChannelId, tuple[ComponentId, ...]]
     consumers: Mapping[ChannelId, tuple[ComponentId, ...]]
-    _fields = tuple(__annotations__)
 
-    def __init__(self, members, producers, consumers, components) -> None:
-        self.members, self.producers, self.consumers = members, producers, consumers
-        self._components = components
-
-    @classmethod
     @_collector_paused()
-    def build(
-        cls, components: Mapping[ComponentId, ComponentRecord], members: tuple[ComponentId, ...]
-    ) -> "LevelIndex":
+    def __init__(self, components, members) -> None:  # the model's components, the level's tuple
         records = [(c, components[c]) for c in members]
-        return cls(
-            members=frozenset(members),
-            producers=_inverse((c, rec.outputs) for c, rec in records),
-            consumers=_inverse((c, rec.inputs) for c, rec in records),
-            components=components,
-        )
+        self.members = frozenset(members)
+        self.producers = _inverse((c, rec.outputs) for c, rec in records)
+        self.consumers = _inverse((c, rec.inputs) for c, rec in records)
+        self._components = components
 
     @cached_property
     def joins(self) -> tuple[str, ...]:
@@ -345,11 +335,10 @@ class Architecture(_Fields):
 
     Construct through :meth:`create`, which normalizes the tables and
     enforces referential closure and subcomponent acyclicity. The bare
-    constructor takes what ``create`` builds, unchecked and unsorted: mappings
-    that iterate in name order, name-ordered tuples for members, table
-    entries and levels, and frozensets for the two arrays. The level indexes
-    and the document-wide tables are cached in the instance ``__dict__``,
-    outside the fields, so they take no part in ==, repr or serialization.
+    constructor takes what ``create`` builds (see the module docstring),
+    unchecked and unsorted. The level indexes and the document-wide tables
+    are cached in the instance ``__dict__``, outside the fields, so they take
+    no part in ==, repr or serialization.
     """
 
     components: Mapping[ComponentId, ComponentRecord]
@@ -375,12 +364,12 @@ class Architecture(_Fields):
     @_collector_paused()
     def create(
         cls,
-        components: Mapping[ComponentId, Mapping[str, Collection[str]]] | None = None,
-        levels: Mapping[LevelId, Collection[ComponentId]] | None = None,
-        chan_from_ch: Mapping[ChannelId, Collection[ChannelId]] | None = None,
-        chan_from_var: Mapping[ChannelId, Collection[VariableId]] | None = None,
-        var_from: Mapping[VariableId, Collection[ChannelId]] | None = None,
-        var_to: Mapping[VariableId, Collection[ChannelId]] | None = None,
+        components: dict[ComponentId, dict[str, Collection[str]]] = _ABSENT,
+        levels: dict[LevelId, Collection[ComponentId]] = _ABSENT,
+        chan_from_ch: dict[ChannelId, Collection[ChannelId]] = _ABSENT,
+        chan_from_var: dict[ChannelId, Collection[VariableId]] = _ABSENT,
+        var_from: dict[VariableId, Collection[ChannelId]] = _ABSENT,
+        var_to: dict[VariableId, Collection[ChannelId]] = _ABSENT,
         highload_channels: Collection[ChannelId] = (),
         highperf_components: Collection[ComponentId] = (),
     ) -> "Architecture":
@@ -388,23 +377,18 @@ class Architecture(_Fields):
         name, reference and the subcomponent relation; freeze each member,
         table entry and level as a name-ordered tuple without repeats.
 
-        ``components``, each spec and each table are mappings (``None`` is an
-        absent table), a spec's keys are among ``in``, ``out``, ``var`` and
-        ``subcomp``, and each member, table entry and array is a collection of
-        string names: not a string, number, bool, ``None`` or mapping. A
-        breach is a TypeError naming the first such place in document order,
-        the place ``ingest.parse`` names in a DocumentError. Every check runs
-        over whole columns in C loops; a per-entry loop only names the first
-        offender.
+        The containers are those ``json.loads`` builds, by exact type:
+        ``components``, each spec and each table are dicts, a spec's keys are
+        among ``in``, ``out``, ``var`` and ``subcomp``, and each member, table
+        entry and array is a list, tuple, set or frozenset of strings. A
+        left-out parameter or member is empty; ``None`` is a breach. A breach
+        is a TypeError naming the first such place in document order, the
+        place ``ingest.parse`` names in a DocumentError.
         """
-        components = {} if components is None else components
-        tables = dict(zip(_TABLES, (
-            {} if t is None else t for t in (levels, chan_from_ch, chan_from_var, var_from, var_to)
-        )))
+        tables = dict(zip(_TABLES, (levels, chan_from_ch, chan_from_var, var_from, var_to)))
         arrays = dict(zip(_ARRAYS, (highload_channels, highperf_components)))
         # Each entry as a tuple in name order, each name once: a copy when it is so already.
         entry = tuple if _check_shape(components, tables, arrays) else lambda v: tuple(sorted(set(v)))
-        levels, chan_from_ch, chan_from_var, var_from, var_to = tables.values()
 
         names = list(components)
         specs = list(components.values())
@@ -518,7 +502,7 @@ class Architecture(_Fields):
         index = self._level_indexes.get(level)
         if index is None:
             self.require_level(level)
-            index = LevelIndex.build(self.components, self.levels[level])
+            index = LevelIndex(self.components, self.levels[level])
             self._level_indexes[level] = index
         return index
 

@@ -153,7 +153,10 @@ def verify_level_refinement(
     the fine level exactly. Witnesses come per coarse component in name
     order (its incomplete cover, then its double covers by fine name),
     then the uncovered fine components by name; see ``RefinementReport``
-    for the entities each names.
+    for the entities each names. Cost is linear in the leaf sets ``_atoms``
+    keeps, one per component: a subcomponent chain of depth d above l leaves
+    holds at most d*l names, and a depth-4,000 broom (one leaf per link)
+    holds 8 million, which takes about half a second.
     """
     a.require_level(fine)
     a.require_level(coarse)

@@ -417,6 +417,24 @@ def test_lone_surrogate_in_a_name_exits_one(tmp_path, capsys, kind, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["condense", "--level", "L"],
+    ["export-dot", "--level", "L"],
+    ["sources", "--level", "L", "--component", "b"],
+], ids=["condense", "export-dot", "sources"])
+def test_name_stdout_cannot_encode_exits_one(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "doc.json"
+    doc = {"components": {"b": {"in": ["x"]}, "é1": {"out": ["x"]}}, "levels": {"L": ["b", "é1"]}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    assert cli.run([argv[0], str(path), *argv[1:]]) == cli.EXIT_ERROR
+    sys.stdout.flush()
+    assert raw.getvalue() == b""
+    err = capsys.readouterr().err
+    assert err == "archdeps: error: stdout cannot encode 'é' as ascii\n"
+
+
 @pytest.mark.parametrize(
     "data,message",
     [

@@ -2,8 +2,10 @@ import gc
 import json
 import platform
 import random
+from collections import OrderedDict, defaultdict, deque
 from importlib import resources
 from itertools import chain
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -114,15 +116,32 @@ def test_comma_in_identifier_rejected(components):
         ({"components": {"A": {"subcomp": [None]}}}, "components[A].subcomp", "list holding NoneType"),
         ({"chan_from_ch": {"x": [["y"]], "y": []}}, "chan_from_ch[x]", "list holding list"),
         ({"highload_channels": None}, "highload_channels", "NoneType"),
+        ({"components": {"A": {"in": deque(["x"])}}}, "components[A].in", "deque"),
     ],
     ids=["member", "table_entry", "level", "array", "none", "zero", "false", "member_dict",
          "table_entry_dict", "array_dict", "level_non_string", "subcomp_non_string",
-         "chan_from_ch_non_string", "array_none"],
+         "chan_from_ch_non_string", "array_none", "member_deque"],
 )
 def test_scalar_for_names_is_a_type_error(tables, where, kind):
     with pytest.raises(TypeError) as info:
         Architecture.create(**tables)
     assert str(info.value) == f"{where} must be a collection of names, not {kind}"
+
+
+@pytest.mark.parametrize(
+    "tables,where,kind",
+    [
+        ({"components": OrderedDict()}, "components", "OrderedDict"),
+        ({"components": {"A": defaultdict(list)}}, "components[A]", "defaultdict"),
+        ({"chan_from_ch": MappingProxyType({})}, "chan_from_ch", "mappingproxy"),
+        ({"levels": None}, "levels", "NoneType"),
+    ],
+    ids=["components_ordered_dict", "spec_defaultdict", "table_mapping_proxy", "table_none"],
+)
+def test_only_a_dict_is_a_mapping_place(tables, where, kind):
+    with pytest.raises(TypeError) as info:
+        Architecture.create(**tables)
+    assert str(info.value) == f"{where} must be a mapping, not {kind}"
 
 
 def test_subcomponent_cycle_rejected():
