@@ -31,6 +31,47 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return obj
 
 
+def _key_count(raw: object) -> int:
+    # The keys of the top-level object, of the objects among its values and of
+    # the component specs; -1, which no count matches, when the top level,
+    # "components" or a spec is not an object: such a document fails to load.
+    specs = raw.get("components", {}) if type(raw) is dict else None
+    if type(specs) is not dict or not set(map(type, specs.values())) <= {dict}:
+        return -1
+    members = [value for value in raw.values() if type(value) is dict]
+    return len(raw) + sum(map(len, members)) + sum(map(len, specs.values()))
+
+
+def _decode(doc: str) -> object:
+    """The decoded text; a DocumentError for malformed text or a key repeated
+    in one object.
+
+    A plain ``json.loads`` decodes. Each key-value pair of an object writes
+    one ":" outside strings, so when the text holds as many ":" as the keys
+    counted in the top level, its object members and the component specs, no
+    key repeats and no other object holds one. Otherwise, and when the plain
+    decode fails, the text is decoded again with the duplicate-key hook, which
+    words any error as a DocumentError.
+    """
+    try:
+        raw = json.loads(doc)
+    except (ValueError, RecursionError):
+        pass  # decoded again below, to word the error
+    else:
+        if doc.count(":") == _key_count(raw):
+            return raw
+    try:
+        return json.loads(doc, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(
+            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise DocumentError("arrays or objects nested too deeply") from exc
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise DocumentError(f"unreadable value: {exc}") from exc
+
+
 def parse(doc: str) -> Architecture:
     """Parse an architecture description document.
 
@@ -42,21 +83,15 @@ def parse(doc: str) -> Architecture:
     top level, and a shape breach: the TypeError ``create`` raises, reworded,
     naming the same place, the first breach in document order. A top-level
     null is such a breach. The model's InvalidIdentifierError,
-    UnknownIdentifierError and SubcomponentCycleError pass through. Decoding
-    and building run with the cyclic garbage collector paused: they make no
-    cycles.
+    UnknownIdentifierError and SubcomponentCycleError pass through.
+
+    The per-object duplicate-key hook runs only when a plain decode fails or
+    a count of the text's ":" leaves a repeated key possible (see
+    ``_decode``). Decoding and building run with the cyclic garbage collector
+    paused: they make no cycles.
     """
     with _collector_paused():
-        try:
-            raw = json.loads(doc, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(
-                f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        except RecursionError as exc:
-            raise DocumentError("arrays or objects nested too deeply") from exc
-        except ValueError as exc:  # e.g. an integer literal past the digit limit
-            raise DocumentError(f"unreadable value: {exc}") from exc
+        raw = _decode(doc)
         if not isinstance(raw, dict):
             raise DocumentError("top level must be an object")
         unknown = sorted(set(raw) - set(_TOP_LEVEL))

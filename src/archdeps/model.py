@@ -21,9 +21,9 @@ from __future__ import annotations
 import gc
 import re
 from contextlib import contextmanager
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, countOf, ge, gt, itemgetter, methodcaller
+from operator import attrgetter, countOf, ge, gt, iadd, itemgetter, lt, methodcaller
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 ComponentId = str
@@ -114,7 +114,12 @@ _ARRAYS = ("highload_channels", "highperf_components")
 _MEMBER_SET = frozenset(_MEMBERS)
 _flat = chain.from_iterable
 _NAME_COLLECTIONS = frozenset({list, tuple, set, frozenset})  # what a member, entry or array may be
+_SEQUENCES = frozenset({list, tuple})  # the collections whose entries keep an order
 _ABSENT: dict = {}  # create's default for components and each table; never written
+
+
+def _sorted_entry(names: Iterable[str]) -> tuple[str, ...]:
+    return tuple(sorted(set(names)))
 
 
 @contextmanager
@@ -134,33 +139,41 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _check_shape(components: object, tables: dict[str, object], arrays: dict[str, object]) -> bool:
+def _check_shape(
+    components: object, tables: dict[str, object], arrays: dict[str, object]
+) -> dict[str, tuple[list, list, bool]]:
     """Raise _ShapeError for the first place, in document order (components,
     the tables, the arrays, each in entry order), not holding a dict (for
     ``components``, each spec, with member keys only, and each table) or a
     list, tuple, set or frozenset of strings (for each member, table entry and
-    array). Return whether every member, table entry and level lists its names
-    strictly increasing already.
+    array). Return the columns: for each member key, in ``_MEMBERS`` order,
+    and each table, its entries in document order (a missing member is
+    ``()``), their names flattened in that order, and whether every entry
+    lists its names strictly increasing already.
 
     Type-set tests over whole columns and a join of their names decide in C
     loops; only when one fails does the per-entry walk, making the same tests,
-    run to name the breach. The order test compares neighbours over the
-    non-empty entries, each followed by "", which sorts before any name: when
-    every entry is in order, only its (last, "") pairs fail to increase.
+    run to name the breach.
     """
     if type(components) is dict and set(map(type, tables.values())) <= {dict}:
         specs = components.values()
         if set(map(type, specs)) <= {dict} and _MEMBER_SET.issuperset(_flat(specs)):
-            entries = [*_flat(map(dict.values, [*specs, *tables.values()]))]
-            if set(map(type, entries)) | set(map(type, arrays.values())) <= _NAME_COLLECTIONS:
-                entries = list(filter(None, entries))
-                names = list(_flat(_flat(zip(entries, repeat(("",))))))
+            if sum(map(len, specs)) == len(_MEMBERS) * len(specs):  # each spec has every member
+                getters = map(itemgetter, _MEMBERS)
+            else:
+                getters = (methodcaller("get", m, ()) for m in _MEMBERS)
+            columns = [list(map(get, specs)) for get in getters]
+            columns += map(list, map(dict.values, tables.values()))
+            kinds = [set(map(type, column)) for column in columns]
+            if set().union(*kinds, map(type, arrays.values())) <= _NAME_COLLECTIONS:
+                flats = [reduce(iadd, column, []) for column in columns]
                 try:  # join raises a TypeError unless every name is a string
-                    "".join(names) + "".join(_flat(arrays.values()))
+                    "".join(map("".join, flats)) + "".join(_flat(arrays.values()))
                 except TypeError:
                     pass
                 else:
-                    return countOf(map(ge, names, islice(names, 1, None)), True) == len(entries)
+                    ordered = map(_in_order, columns, flats, kinds)
+                    return dict(zip((*_MEMBERS, *tables), zip(columns, flats, ordered)))
 
     def mapping(where: str, value: object) -> None:
         if type(value) is not dict:
@@ -192,17 +205,42 @@ def _check_shape(components: object, tables: dict[str, object], arrays: dict[str
         names(key, value)
 
 
+def _in_order(entries: list, names: list[str], kinds: set[type]) -> bool:
+    """Whether each of a column's entries lists its names strictly increasing,
+    given the names flattened in entry order and the entries' types.
+
+    A set or frozenset entry has no order to keep, so it answers False. Else
+    one comparison of neighbours over the names counts the descents; when
+    there are any, they must all fall at the seams between entries, each
+    non-empty entry's last name against the next one's first.
+    """
+    if not kinds <= _SEQUENCES:
+        return False
+    descents = countOf(map(ge, names, islice(names, 1, None)), True)
+    if not descents:
+        return True
+    entries = list(filter(None, entries))
+    firsts = map(itemgetter(0), islice(entries, 1, None))
+    return descents == countOf(map(ge, map(itemgetter(-1), entries), firsts), True)
+
+
 def _check_names(kind: str, universe: Collection[object], in_order: Iterable[object]) -> None:
     """Raise InvalidIdentifierError for the first name in ``in_order``, the
     universe's names in document order, that is not a non-empty string free
     of separators.
 
-    One type test, one truth test and one search over the joined universe
-    decide; the ordered loop only runs to name the offender, the same one in
-    every process.
+    One join of the universe (which raises unless every name is a string),
+    one membership test for "" (``universe`` is a set or a dict) and one
+    search decide; the ordered loop only runs to name the offender, the same
+    one in every process.
     """
-    if set(map(type, universe)) <= {str} and all(universe) and not _SEPARATOR.search("".join(universe)):
-        return
+    try:
+        joined = "".join(universe)
+    except TypeError:
+        pass
+    else:
+        if "" not in universe and not _SEPARATOR.search(joined):
+            return
     for name in in_order:
         if not isinstance(name, str) or not name or _SEPARATOR.search(name):
             raise InvalidIdentifierError(f"invalid {kind} identifier: {name!r}")
@@ -384,73 +422,81 @@ class Architecture(_Fields):
         left-out parameter or member is empty; ``None`` is a breach. A breach
         is a TypeError naming the first such place in document order, the
         place ``ingest.parse`` names in a DocumentError.
+
+        The columns the shape check builds (each member over all components,
+        each table's entries, their names flattened) feed every later pass.
+        Order is decided per column: a column whose entries all list their
+        names strictly increasing is only copied into tuples, any other is
+        sorted entry by entry. ``components`` is re-keyed only when it is not
+        listed in name order, and the subcomponent walk runs only when the
+        names do not already order every parent above its subcomponents.
         """
         tables = dict(zip(_TABLES, (levels, chan_from_ch, chan_from_var, var_from, var_to)))
         arrays = dict(zip(_ARRAYS, (highload_channels, highperf_components)))
-        # Each entry as a tuple in name order, each name once: a copy when it is so already.
-        entry = tuple if _check_shape(components, tables, arrays) else lambda v: tuple(sorted(set(v)))
+        columns = _check_shape(components, tables, arrays)
+        # Each entry as a tuple in name order, each name once: a copy when its column is so already.
+        frozen = {
+            key: list(map(tuple if in_order else _sorted_entry, entries))
+            for key, (entries, _, in_order) in columns.items()
+        }
+        flat = {key: names for key, (_, names, _) in columns.items()}
+        ins, outs, var_sets, subs = map(frozen.__getitem__, _MEMBERS)
 
         names = list(components)
-        specs = list(components.values())
-        columns = [list(map(methodcaller("get", m, ()), specs)) for m in _MEMBERS]
-        ins, outs, var_sets, subs = ([*map(entry, column)] for column in columns)
-
-        comp_universe = frozenset(names)
-        chans = {*chan_from_ch, *chan_from_var}
-        chans.update(*chain.from_iterable(zip(ins, outs)))  # component by component, as declared
-        variables = {*var_from, *var_to}
-        variables.update(*var_sets)
-        chan_universe, var_universe = frozenset(chans), frozenset(variables)
-
+        chan_universe = frozenset(chain(chan_from_ch, chan_from_var, flat["in"], flat["out"]))
+        var_universe = frozenset(chain(var_from, var_to, flat["var"]))
         # Each universe with its names in document order, walked only to name an offender.
         for kind, universe, in_order in (
-            ("component", names, names),
+            ("component", components, names),
             ("channel", chan_universe,
-             chain(_flat(_flat(zip(columns[0], columns[1]))), chan_from_ch, chan_from_var)),
-            ("variable", var_universe, chain(_flat(columns[2]), var_from, var_to)),
+             chain(_flat(_flat(zip(columns["in"][0], columns["out"][0]))), chan_from_ch, chan_from_var)),
+            ("variable", var_universe, chain(flat["var"], var_from, var_to)),
             ("level", levels, levels),
         ):
             _check_names(kind, universe, in_order)
 
-        # Every table total: each key of its universe, in name order, with its entry or ().
-        chan_order, var_order = sorted(chan_universe), sorted(var_universe)
-        frozen = {}
-        for key, keys in zip(_TABLES, (sorted(levels), chan_order, chan_order, var_order, var_order)):
-            frozen[key] = dict(zip(keys, map(entry, map(tables[key].get, keys, repeat(())))))
+        comp_universe = frozenset(names)
         highload, highperf = frozenset(highload_channels), frozenset(highperf_components)
-
-        # (kind, universe, where, owners in declaration order, owner -> names)
-        for kind, universe, where, owners, referenced in (
-            ("component", comp_universe, "subcomp of ", names, dict(zip(names, subs))),
-            ("component", comp_universe, "level ", levels, frozen["levels"]),
-            ("channel", chan_universe, "chan_from_ch of ", chan_from_ch, frozen["chan_from_ch"]),
-            ("variable", var_universe, "chan_from_var of ", chan_from_var, frozen["chan_from_var"]),
-            ("channel", chan_universe, "var_from of ", var_from, frozen["var_from"]),
-            ("channel", chan_universe, "var_to of ", var_to, frozen["var_to"]),
-            ("channel", chan_universe, "", ["highload_channels"], {"highload_channels": highload}),
-            ("component", comp_universe, "", ["highperf_components"], {"highperf_components": highperf}),
+        # (kind, universe, where, owners in declaration order, their entries, every name they hold)
+        for kind, universe, where, owners, entries, referenced in (
+            ("component", comp_universe, "subcomp of ", names, subs, flat["subcomp"]),
+            *((kind, universe, where, tables[key], frozen[key], flat[key]) for kind, universe, where, key in (
+                ("component", comp_universe, "level ", "levels"),
+                ("channel", chan_universe, "chan_from_ch of ", "chan_from_ch"),
+                ("variable", var_universe, "chan_from_var of ", "chan_from_var"),
+                ("channel", chan_universe, "var_from of ", "var_from"),
+                ("channel", chan_universe, "var_to of ", "var_to"),
+            )),
+            ("channel", chan_universe, "", _ARRAYS[:1], [highload], highload),
+            ("component", comp_universe, "", _ARRAYS[1:], [highperf], highperf),
         ):
-            if universe.issuperset(chain.from_iterable(referenced.values())):
+            if universe.issuperset(referenced):
                 continue
-            for owner in owners:
-                unknown = set(referenced[owner]).difference(universe)
+            for owner, entry in zip(owners, entries):
+                unknown = set(entry).difference(universe)
                 if unknown:
                     raise UnknownIdentifierError(
                         f"undeclared {kind} {', '.join(sorted(unknown))} referenced in {where}{owner}"
                     )
 
+        # Every table total: each key of its universe, in name order, with its entry or ().
+        by_chan, by_var = (dict.fromkeys(sorted(u), ()) for u in (chan_universe, var_universe))
+        totals = {}
+        for key, empty in zip(_TABLES, (dict.fromkeys(sorted(levels), ()), by_chan, by_chan, by_var, by_var)):
+            totals[key] = total = empty.copy()
+            total.update(zip(tables[key], frozen[key]))
+
         records = dict(zip(names, map(ComponentRecord, ins, outs, var_sets, subs)))
-        by_name = sorted(names)
-        arch = cls(
-            components=dict(zip(by_name, map(records.__getitem__, by_name))),
-            highload_channels=highload,
-            highperf_components=highperf,
-            **frozen,
-        )
-        # Raises on a cycle: HighPerf recursion and level flattening need none.
-        # A component without subcomponents closes no cycle, so no walk starts there.
-        _post_order(arch.components, [c for c in by_name if records[c].subcomponents])
-        return arch
+        if countOf(map(ge, names, islice(names, 1, None)), True):  # not listed in name order
+            records = dict(zip(by_name := sorted(names), map(records.__getitem__, by_name)))
+        # Raises on a cycle: HighPerf recursion and level flattening need none. No cycle
+        # is possible when every subcomponent's name sorts before its parent's, or every
+        # one after: only otherwise does the walk run, from each decomposed component.
+        decomposed, below = list(compress(names, subs)), list(filter(None, subs))
+        if not (all(map(lt, map(itemgetter(-1), below), decomposed))
+                or all(map(gt, map(itemgetter(0), below), decomposed))):
+            _post_order(records, [c for c, rec in records.items() if rec.subcomponents])
+        return cls(records, highload_channels=highload, highperf_components=highperf, **totals)
 
     @property
     def channel_ids(self) -> frozenset[ChannelId]:

@@ -1,8 +1,10 @@
 import gc
 import inspect
 import json
+import random
 import re
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -17,7 +19,7 @@ from archdeps.model import (
     UnknownIdentifierError,
 )
 
-from .conftest import to_tables
+from .conftest import random_architecture, to_tables
 from .test_cli import mutated_system_s
 
 EMPTY_DOC = """
@@ -400,3 +402,75 @@ def test_parse_and_create_agree(data):
     else:
         assert type(parse_error) is type(create_error)
         assert str(parse_error) == str(create_error)
+
+
+def _hooked_parse(text: str):
+    # parse with the duplicate-key hook on every decode: what parse gives without the plain decode
+    with mock.patch.object(ingest, "_key_count", return_value=-1):
+        return ingest.parse(text)
+
+
+def _load_outcome(load, text: str) -> tuple:
+    model, error = _outcome(load, text)
+    return model, type(error), str(error)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ('{"levels": {}, "components": {}, "levels": {}}', "duplicate key: 'levels'"),
+        ('{"components": {"A": {}, "B": {}, "A": {}}}', "duplicate key: 'A'"),
+        ('{"components": {"A": {"out": ["x"], "var": [], "out": []}}}', "duplicate key: 'out'"),
+        ('{"chan_from_ch": {"x": [], "y": [], "x": ["y"]}}', "duplicate key: 'x'"),
+        ('{"levels": {"L": {"a": 1, "a": 2}}}', "duplicate key: 'a'"),
+        ('{"components": {"A": {"in": {"b": [{"c": 1, "c": 1}]}}}}', "duplicate key: 'c'"),
+        ('{"levels": {"L": {"a": 1}}}', "levels[L] must be an array of identifier strings"),
+        ('{"levels": {"L": [], "L": []}, "components": }', "duplicate key: 'L'"),
+        ('{"levels": {"L": [], "L": []}, "highload_channels": [' + "1" * 5000 + "]}", "duplicate key: 'L'"),
+        ('{"levels": ' + "[" * 100_000, "arrays or objects nested too deeply"),
+    ],
+    ids=["top_level", "components", "spec", "table", "where_names_belong", "deep_where_names_belong",
+         "object_where_names_belong", "then_syntax_error", "then_huge_integer", "deep_nesting"],
+)
+def test_repeated_keys_and_unreadable_text_as_the_hooked_decode(doc, message):
+    with pytest.raises(ingest.DocumentError) as info:
+        ingest.parse(doc)
+    assert str(info.value) == message
+    assert _load_outcome(ingest.parse, doc) == _load_outcome(_hooked_parse, doc)
+
+
+def test_colon_in_names_loads():
+    doc = {"components": {"a:b": {"out": ["x:1"], "var": [":v"]}}, "levels": {"L:0": ["a:b"]},
+           "var_to": {":v": ["x:1"]}, "highload_channels": ["x:1"]}
+    a = ingest.parse(json.dumps(doc))
+    assert a == Architecture.create(**doc) == _hooked_parse(json.dumps(doc))
+    assert a.components["a:b"].outputs == ("x:1",) and a.levels == {"L:0": ("a:b",)}
+
+
+@st.composite
+def repeated_key_documents(draw) -> str:
+    """A mutated system S document; in some, one object's first key written twice."""
+    text = draw(mutated_system_s()).decode()
+    starts = [m.end() for m in re.finditer(r'\{(?="(?:[^"\\]|\\.)*": )', text)]
+    if starts and draw(st.booleans()):
+        at = draw(st.sampled_from(starts))
+        key = re.match(r'"(?:[^"\\]|\\.)*"', text[at:]).group()
+        text = f"{text[:at]}{key}: {draw(st.sampled_from(['0', '[]', '{}', '[[]]']))}, {text[at:]}"
+    return text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(repeated_key_documents())
+def test_parse_as_the_hooked_decode(text):
+    assert _load_outcome(ingest.parse, text) == _load_outcome(_hooked_parse, text)
+
+
+def test_documents_without_colons_in_names_load_without_the_hook(arch):
+    generated = to_tables(random_architecture(random.Random(7)))
+    documents = [bundled_document(), ingest.serialize(arch), json.dumps(generated), EMPTY_DOC]
+    with mock.patch.object(ingest, "_unique_keys", wraps=ingest._unique_keys) as hook:
+        for text in documents:
+            assert ingest.parse(text) is not None
+        assert hook.call_count == 0
+        ingest.parse('{"components": {"a:b": {}}}')
+        assert hook.call_count == 3  # one call per object: the spec, components, the top level

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from archdeps import case_study_fixture, ingest
+from archdeps import case_study_fixture, ingest, model
 from archdeps.model import (
     Architecture,
     ComponentRecord,
@@ -308,3 +308,72 @@ def test_members_and_entries_are_untracked_after_one_collection():
         4 * len(records) + len(a.levels) + 2 * len(a.chan_from_ch) + 2 * len(a.var_from)
     )
     assert not any(map(gc.is_tracked, entries))
+
+
+ORDER_NAMES = st.sampled_from(["a", "b", "c", "d"])  # few names, so entries and seams meet often
+ORDER_ENTRY = st.one_of(
+    st.lists(ORDER_NAMES, max_size=4),
+    st.lists(ORDER_NAMES, max_size=4).map(tuple),
+    st.frozensets(ORDER_NAMES, max_size=3),
+    st.sets(ORDER_NAMES, max_size=3),
+)
+ORDER_COLUMN = st.lists(ORDER_ENTRY, max_size=6)
+
+
+def _shape_of(columns: dict) -> tuple:
+    # _check_shape's arguments holding the generated columns: one spec per row, one table per key
+    rows = max(map(len, (columns[m] for m in model._MEMBERS)), default=0)
+    components = {
+        f"c{i}": {m: columns[m][i] for m in model._MEMBERS if i < len(columns[m])} for i in range(rows)
+    }
+    tables = {t: {f"k{i}": v for i, v in enumerate(columns[t])} for t in model._TABLES}
+    return components, tables, dict.fromkeys(model._ARRAYS, ())
+
+
+@given(st.fixed_dictionaries({key: ORDER_COLUMN for key in (*model._MEMBERS, *model._TABLES)}))
+def test_order_flags_match_brute_force(columns):
+    shape = _shape_of(columns)
+    for key, (entries, names, in_order) in model._check_shape(*shape).items():
+        # A set or frozenset entry takes the sorting path, whatever order it iterates in.
+        expected = all(type(v) in (list, tuple) and list(v) == sorted(set(v)) for v in entries)
+        assert in_order is expected, key
+        assert names == [name for v in entries for name in v]
+
+
+def test_one_unordered_column_sorts_only_itself():
+    doc = to_tables(case_study_fixture())
+    doc["levels"]["level1"].reverse()
+    x = next(x for x, deps in doc["chan_from_ch"].items() if deps)
+    doc["chan_from_ch"][x].append(doc["chan_from_ch"][x][0])  # a name repeated
+    tables = {t: doc[t] for t in model._TABLES}
+    columns = model._check_shape(doc["components"], tables, {})
+    assert {key for key, (*_, in_order) in columns.items() if not in_order} == {"levels", "chan_from_ch"}
+    assert Architecture.create(**doc) == case_study_fixture()
+
+
+def _has_cycle(subcomp: dict) -> bool:
+    # Peel off components whose subcomponents are all peeled; a cycle is what remains.
+    left = dict(subcomp)
+    while True:
+        done = [c for c, subs in left.items() if not set(subs) & left.keys()]
+        if not done:
+            return bool(left)
+        for c in done:
+            del left[c]
+
+
+CYCLE_NAMES = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@given(st.dictionaries(CYCLE_NAMES, st.lists(CYCLE_NAMES, max_size=3)))
+def test_subcomponent_cycle_found_whatever_the_name_order(subcomp):
+    names = set(subcomp).union(*subcomp.values())
+    components = {c: {"subcomp": subcomp.get(c, [])} for c in sorted(names)}
+    if _has_cycle(subcomp):
+        with pytest.raises(SubcomponentCycleError):
+            Architecture.create(components=components)
+    else:
+        a = Architecture.create(components=components)
+        assert {c: set(rec.subcomponents) for c, rec in a.components.items()} == {
+            c: set(spec["subcomp"]) for c, spec in components.items()
+        }

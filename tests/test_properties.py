@@ -437,7 +437,8 @@ def test_serialize_parse_round_trip(seed):
     # Every entry and level is written in name order, so a reload takes create's copy path.
     doc = json.loads(text)
     parts = [{key: doc[key] for key in keys} for keys in (model._TABLES, model._ARRAYS)]
-    assert model._check_shape(doc["components"], *parts) is True
+    columns = model._check_shape(doc["components"], *parts)
+    assert [in_order for *_, in_order in columns.values()] == [True] * 9
 
 
 @given(seeds)
