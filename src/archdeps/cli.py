@@ -233,9 +233,9 @@ def _cmd_check_refinement(a: Architecture, args) -> _Result:
     from . import optimize
     report = optimize.verify_level_refinement(a, args.fine, args.coarse)
     reasons = [w.reason for w in report.witnesses]
-    text = ("ok" if report.ok else "violated") + "\n" + "".join(f"  {r}\n" for r in reasons)
-    payload = {"ok": report.ok, "witnesses": reasons}
-    return payload, text, EXIT_OK if report.ok else EXIT_VIOLATION
+    text = ("ok" if report.holds else "violated") + "\n" + "".join(f"  {r}\n" for r in reasons)
+    payload = {"ok": report.holds, "witnesses": reasons}
+    return payload, text, EXIT_OK if report.holds else EXIT_VIOLATION
 
 
 def _cmd_export_dot(a: Architecture, args) -> _Result:

@@ -7,16 +7,9 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
-from .model import _ARRAYS, _TABLES, Architecture, LevelId, ModelError, _collector_paused, _ShapeError
+from .model import _ARRAYS, _TABLES, Architecture, DocumentError, LevelId, _collector_paused
 
 _TOP_LEVEL = ("components", *_TABLES, *_ARRAYS)  # Architecture.create's parameters
-# A shape breach in the document's terms, by what belongs at the place; an
-# unknown member reads the same in both.
-_WORDING = {"mapping": "{} must be an object", "names": "{} must be an array of identifier strings"}
-
-
-class DocumentError(ModelError):
-    """The document text is not a well-formed architecture description."""
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -79,11 +72,10 @@ def parse(doc: str) -> Architecture:
     ``Architecture.create``'s parameters, and hands it to ``create``, which
     checks the shape, fills in what is missing and checks names, references
     and the subcomponent relation. Raises DocumentError on malformed text
-    (with position for syntax errors), a key repeated in one object, a bad
-    top level, and a shape breach: the TypeError ``create`` raises, reworded,
-    naming the same place, the first breach in document order. A top-level
-    null is such a breach. The model's InvalidIdentifierError,
-    UnknownIdentifierError and SubcomponentCycleError pass through.
+    (with position for syntax errors), a key repeated in one object and a
+    bad top level; ``create`` raises the shape breaches (a top-level null is
+    one) and the InvalidIdentifierError, UnknownIdentifierError and
+    SubcomponentCycleError, which pass through.
 
     The per-object duplicate-key hook runs only when a plain decode fails or
     a count of the text's ":" leaves a repeated key possible (see
@@ -97,11 +89,7 @@ def parse(doc: str) -> Architecture:
         unknown = sorted(set(raw) - set(_TOP_LEVEL))
         if unknown:
             raise DocumentError(f"unknown top-level members: {', '.join(unknown)}")
-        try:
-            return Architecture.create(**raw)
-        except _ShapeError as exc:
-            wording = _WORDING.get(exc.wants)
-            raise DocumentError(wording.format(exc.where) if wording else str(exc)) from exc
+        return Architecture.create(**raw)
 
 
 @lru_cache(maxsize=1)

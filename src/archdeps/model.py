@@ -1,17 +1,18 @@
 """Architecture model: components, channels, variables, levels.
 
 ``Architecture.create`` takes the containers ``json.loads`` builds, by exact
-type: dicts for ``components``, specs and tables, and lists (or tuples, sets,
-frozensets) of strings for members, table entries and arrays. ``None`` is a
-breach, never an absent table. Name order is fixed there once: every member,
-table entry and level is a tuple of names in name order, each once, and every
-mapping iterates in name order. Only the two arrays and the named lookups'
-answers (``inputs_of`` and so on) are frozensets; the bare constructor expects
-what ``create`` builds. All tables are total: an identifier without an entry
-maps to ``()``. An Architecture and a ComponentRecord are equal by field and
-unhashable; their fields are not write-protected, and the package never writes
-them. The level indexes (compared by identity) and the document-wide tables
-(``parents``, ``levels_of``, ``producers``, ``targeted_by``, ``finest_first``,
+type: dicts for ``components``, specs and tables, and lists of strings for
+members, table entries and arrays. Any other value, ``None`` included, is a
+breach, raised once, as a DocumentError in the document's terms. Name order is
+fixed there once: every member, table entry and level is a tuple of names in
+name order, each once, and every mapping iterates in name order. Only the two
+arrays and the named lookups' answers (``inputs_of`` and so on) are
+frozensets; the bare constructor expects what ``create`` builds. All tables
+are total: an identifier without an entry maps to ``()``. An Architecture and
+a ComponentRecord are equal by field and unhashable; their fields are not
+write-protected, and the package never writes them. The level indexes
+(compared by identity) and the document-wide tables (``parents``,
+``levels_of``, ``producers``, ``targeted_by``, ``finest_first``,
 ``highperf_marks``) are caches built on first use, outside the fields, so a
 field written after that leaves later answers stale.
 """
@@ -53,14 +54,10 @@ class SubcomponentCycleError(ModelError):
     """The subcomponent relation contains a cycle."""
 
 
-class _ShapeError(TypeError):
-    """A place in the document's layout holds the wrong kind of value: ``where``
-    names it, ``wants`` says what belongs there ("mapping", "names" or
-    "members"), so that ``ingest.parse`` can word it in the document's terms."""
-
-    def __init__(self, where: str, wants: str, message: str) -> None:
-        super().__init__(f"{where} {message}")
-        self.where, self.wants = where, wants
+class DocumentError(ModelError):
+    """The document is not a well-formed architecture description: malformed
+    text, a key repeated in one object, a bad top level, or a place in the
+    layout holding the wrong kind of value."""
 
 
 class _Fields:
@@ -113,9 +110,8 @@ _TABLES = ("levels", "chan_from_ch", "chan_from_var", "var_from", "var_to")
 _ARRAYS = ("highload_channels", "highperf_components")
 _MEMBER_SET = frozenset(_MEMBERS)
 _flat = chain.from_iterable
-_NAME_COLLECTIONS = frozenset({list, tuple, set, frozenset})  # what a member, entry or array may be
-_SEQUENCES = frozenset({list, tuple})  # the collections whose entries keep an order
 _ABSENT: dict = {}  # create's default for components and each table; never written
+_NO_NAMES: list = []  # create's default for each member and array; never written
 
 
 def _sorted_entry(names: Iterable[str]) -> tuple[str, ...]:
@@ -142,14 +138,14 @@ def _collector_paused() -> Iterator[None]:
 def _check_shape(
     components: object, tables: dict[str, object], arrays: dict[str, object]
 ) -> dict[str, tuple[list, list, bool]]:
-    """Raise _ShapeError for the first place, in document order (components,
+    """Raise DocumentError for the first place, in document order (components,
     the tables, the arrays, each in entry order), not holding a dict (for
     ``components``, each spec, with member keys only, and each table) or a
-    list, tuple, set or frozenset of strings (for each member, table entry and
-    array). Return the columns: for each member key, in ``_MEMBERS`` order,
-    and each table, its entries in document order (a missing member is
-    ``()``), their names flattened in that order, and whether every entry
-    lists its names strictly increasing already.
+    list of strings (for each member, table entry and array). Return the
+    columns: for each member key, in ``_MEMBERS`` order, and each table, its
+    entries in document order (a missing member is ``_NO_NAMES``), their names
+    flattened in that order, and whether every entry lists its names strictly
+    increasing already.
 
     Type-set tests over whole columns and a join of their names decide in C
     loops; only when one fails does the per-entry walk, making the same tests,
@@ -161,32 +157,26 @@ def _check_shape(
             if sum(map(len, specs)) == len(_MEMBERS) * len(specs):  # each spec has every member
                 getters = map(itemgetter, _MEMBERS)
             else:
-                getters = (methodcaller("get", m, ()) for m in _MEMBERS)
+                getters = (methodcaller("get", m, _NO_NAMES) for m in _MEMBERS)
             columns = [list(map(get, specs)) for get in getters]
             columns += map(list, map(dict.values, tables.values()))
-            kinds = [set(map(type, column)) for column in columns]
-            if set().union(*kinds, map(type, arrays.values())) <= _NAME_COLLECTIONS:
+            if set(map(type, chain(_flat(columns), arrays.values()))) <= {list}:
                 flats = [reduce(iadd, column, []) for column in columns]
                 try:  # join raises a TypeError unless every name is a string
                     "".join(map("".join, flats)) + "".join(_flat(arrays.values()))
                 except TypeError:
                     pass
                 else:
-                    ordered = map(_in_order, columns, flats, kinds)
+                    ordered = map(_in_order, columns, flats)
                     return dict(zip((*_MEMBERS, *tables), zip(columns, flats, ordered)))
 
     def mapping(where: str, value: object) -> None:
         if type(value) is not dict:
-            raise _ShapeError(where, "mapping", f"must be a mapping, not {type(value).__name__}")
+            raise DocumentError(f"{where} must be an object")
 
     def names(where: str, value: object) -> None:
-        kind = type(value).__name__
-        if type(value) in _NAME_COLLECTIONS:
-            odd = [name for name in value if not isinstance(name, str)]
-            if not odd:
-                return
-            kind += f" holding {type(odd[0]).__name__}"
-        raise _ShapeError(where, "names", f"must be a collection of names, not {kind}")
+        if type(value) is not list or not all(isinstance(name, str) for name in value):
+            raise DocumentError(f"{where} must be an array of identifier strings")
 
     mapping("components", components)
     for name, spec in components.items():
@@ -194,9 +184,9 @@ def _check_shape(
         mapping(where, spec)
         extra = set(spec) - _MEMBER_SET
         if extra:
-            raise _ShapeError(where, "members", "has unknown members: " + ", ".join(sorted(map(str, extra))))
+            raise DocumentError(f"{where} has unknown members: " + ", ".join(sorted(map(str, extra))))
         for member in _MEMBERS:
-            names(f"{where}.{member}", spec.get(member, ()))
+            names(f"{where}.{member}", spec.get(member, _NO_NAMES))
     for key, table in tables.items():
         mapping(key, table)
         for owner, value in table.items():
@@ -205,17 +195,14 @@ def _check_shape(
         names(key, value)
 
 
-def _in_order(entries: list, names: list[str], kinds: set[type]) -> bool:
+def _in_order(entries: list[list[str]], names: list[str]) -> bool:
     """Whether each of a column's entries lists its names strictly increasing,
-    given the names flattened in entry order and the entries' types.
+    given the names flattened in entry order.
 
-    A set or frozenset entry has no order to keep, so it answers False. Else
-    one comparison of neighbours over the names counts the descents; when
+    One comparison of neighbours over the names counts the descents; when
     there are any, they must all fall at the seams between entries, each
     non-empty entry's last name against the next one's first.
     """
-    if not kinds <= _SEQUENCES:
-        return False
     descents = countOf(map(ge, names, islice(names, 1, None)), True)
     if not descents:
         return True
@@ -402,14 +389,14 @@ class Architecture(_Fields):
     @_collector_paused()
     def create(
         cls,
-        components: dict[ComponentId, dict[str, Collection[str]]] = _ABSENT,
-        levels: dict[LevelId, Collection[ComponentId]] = _ABSENT,
-        chan_from_ch: dict[ChannelId, Collection[ChannelId]] = _ABSENT,
-        chan_from_var: dict[ChannelId, Collection[VariableId]] = _ABSENT,
-        var_from: dict[VariableId, Collection[ChannelId]] = _ABSENT,
-        var_to: dict[VariableId, Collection[ChannelId]] = _ABSENT,
-        highload_channels: Collection[ChannelId] = (),
-        highperf_components: Collection[ComponentId] = (),
+        components: dict[ComponentId, dict[str, list[str]]] = _ABSENT,
+        levels: dict[LevelId, list[ComponentId]] = _ABSENT,
+        chan_from_ch: dict[ChannelId, list[ChannelId]] = _ABSENT,
+        chan_from_var: dict[ChannelId, list[VariableId]] = _ABSENT,
+        var_from: dict[VariableId, list[ChannelId]] = _ABSENT,
+        var_to: dict[VariableId, list[ChannelId]] = _ABSENT,
+        highload_channels: list[ChannelId] = _NO_NAMES,
+        highperf_components: list[ComponentId] = _NO_NAMES,
     ) -> "Architecture":
         """Check the shape, fill in missing members and tables, check every
         name, reference and the subcomponent relation; freeze each member,
@@ -418,18 +405,18 @@ class Architecture(_Fields):
         The containers are those ``json.loads`` builds, by exact type:
         ``components``, each spec and each table are dicts, a spec's keys are
         among ``in``, ``out``, ``var`` and ``subcomp``, and each member, table
-        entry and array is a list, tuple, set or frozenset of strings. A
-        left-out parameter or member is empty; ``None`` is a breach. A breach
-        is a TypeError naming the first such place in document order, the
-        place ``ingest.parse`` names in a DocumentError.
+        entry and array is a list of strings. A left-out parameter or member
+        is empty; ``None`` is a breach. A breach is a DocumentError naming the
+        first such place in document order, in the document's terms: ``X must
+        be an object``, ``X must be an array of identifier strings`` or ``X
+        has unknown members: ...``.
 
         The columns the shape check builds (each member over all components,
         each table's entries, their names flattened) feed every later pass.
         Order is decided per column: a column whose entries all list their
         names strictly increasing is only copied into tuples, any other is
-        sorted entry by entry. ``components`` is re-keyed only when it is not
-        listed in name order, and the subcomponent walk runs only when the
-        names do not already order every parent above its subcomponents.
+        sorted entry by entry. The subcomponent walk runs only when the names
+        do not already order every parent above its subcomponents.
         """
         tables = dict(zip(_TABLES, (levels, chan_from_ch, chan_from_var, var_from, var_to)))
         arrays = dict(zip(_ARRAYS, (highload_channels, highperf_components)))
@@ -487,8 +474,7 @@ class Architecture(_Fields):
             total.update(zip(tables[key], frozen[key]))
 
         records = dict(zip(names, map(ComponentRecord, ins, outs, var_sets, subs)))
-        if countOf(map(ge, names, islice(names, 1, None)), True):  # not listed in name order
-            records = dict(zip(by_name := sorted(names), map(records.__getitem__, by_name)))
+        records = dict(zip(by_name := sorted(names), map(records.__getitem__, by_name)))
         # Raises on a cycle: HighPerf recursion and level flattening need none. No cycle
         # is possible when every subcomponent's name sorts before its parent's, or every
         # one after: only otherwise does the walk run, from each decomposed component.

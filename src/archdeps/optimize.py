@@ -19,7 +19,9 @@ class LevelPartition(NamedTuple):
 
 
 class RefinementReport(Verdict):
-    """Outcome of ``verify_level_refinement``: ``ok`` when it has no witnesses.
+    """Outcome of ``verify_level_refinement``: it holds when it has no
+    witnesses. ``ok`` is ``holds`` under the name ``archbench/run.py``, its
+    one reader outside the tests, reads.
 
     Each witness names, in its reason's order, the components the reason
     mentions: ``(c, *sorted(leftover))`` when coarse ``c`` covers no fine
