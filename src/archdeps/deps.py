@@ -1,7 +1,8 @@
 """Direct and transitive dependency queries over components and channels.
 
 A component queried on a level it does not belong to has no dependencies on
-that level; the result is the empty set, not an error.
+that level; the result is the empty set, not an error. The transitive walks
+are the level index's ``reach``, which keeps its join nodes to itself.
 """
 
 from __future__ import annotations
@@ -34,40 +35,19 @@ def dacc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[Component
     return frozenset(chain.from_iterable(map(index.consumers.get, a.components[c].outputs, repeat(()))))
 
 
-def _closure(links, joins, start) -> frozenset[ComponentId]:
-    # Multi-source walk over the nodes of a level index's feeders or readers:
-    # start plus every node reached from it, each entry read once. The join
-    # nodes among them, if the level has any, are dropped from the answer.
-    seen: set[str] = set(start)
-    todo = list(seen)
-    while todo:
-        for z in links[todo.pop()]:
-            if z not in seen:
-                seen.add(z)
-                todo.append(z)
-    if joins:
-        seen.difference_update(joins)
-    return frozenset(seen)
-
-
-def upstream(index: LevelIndex, start) -> frozenset[ComponentId]:
-    """start (components on the index's level) plus everything feeding it."""
-    return _closure(index.feeders, index.joins, start)
-
-
 def sources(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
     """Every component on the level whose data can reach c (one or more hops).
 
     c itself belongs to the result only when it lies on a cycle.
     """
     index = _index_on(a, level, c)
-    return upstream(index, index.feeders[c]) if index else frozenset()
+    return index.reach(index.feeders, index.feeders[c]) if index else frozenset()
 
 
 def acc(a: Architecture, level: LevelId, c: ComponentId) -> frozenset[ComponentId]:
     """Every component on the level that c's data can reach; dual of sources."""
     index = _index_on(a, level, c)
-    return _closure(index.readers, index.joins, index.readers[c]) if index else frozenset()
+    return index.reach(index.readers, index.readers[c]) if index else frozenset()
 
 
 def is_not_dsource(a: Architecture, level: LevelId, s: ComponentId) -> bool:

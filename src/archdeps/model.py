@@ -13,8 +13,9 @@ a ComponentRecord are equal by field and unhashable; their fields are not
 write-protected, and the package never writes them. The level indexes
 (compared by identity) and the document-wide tables (``parents``,
 ``levels_of``, ``producers``, ``targeted_by``, ``finest_first``,
-``highperf_marks``) are caches built on first use, outside the fields, so a
-field written after that leaves later answers stale.
+``highperf_marks``) are caches built on first use, outside the fields, each
+lazy member through ``_table``, so a field written after that leaves later
+answers stale. Join nodes are seen only here and in ``condense``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from contextlib import contextmanager
 from functools import cached_property, reduce
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, countOf, ge, gt, iadd, itemgetter, lt, methodcaller
+from operator import attrgetter, countOf, ge, gt, iadd, itemgetter, lt
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 ComponentId = str
@@ -135,6 +136,12 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _table(build):
+    """A lazy member: ``build`` runs on first use with the collector paused,
+    and its answer is cached in the instance ``__dict__``."""
+    return cached_property(_collector_paused()(build))
+
+
 def _check_shape(
     components: object, tables: dict[str, object], arrays: dict[str, object]
 ) -> dict[str, tuple[list, list, bool]]:
@@ -147,18 +154,15 @@ def _check_shape(
     flattened in that order, and whether every entry lists its names strictly
     increasing already.
 
-    Type-set tests over whole columns and a join of their names decide in C
-    loops; only when one fails does the per-entry walk, making the same tests,
-    run to name the breach.
+    Each member column is one ``map(dict.get, ...)`` over the specs. Type-set
+    tests over whole columns and a join of their names decide in C loops; only
+    when one fails does the per-entry walk, making the same tests, run to name
+    the breach.
     """
     if type(components) is dict and set(map(type, tables.values())) <= {dict}:
         specs = components.values()
         if set(map(type, specs)) <= {dict} and _MEMBER_SET.issuperset(_flat(specs)):
-            if sum(map(len, specs)) == len(_MEMBERS) * len(specs):  # each spec has every member
-                getters = map(itemgetter, _MEMBERS)
-            else:
-                getters = (methodcaller("get", m, _NO_NAMES) for m in _MEMBERS)
-            columns = [list(map(get, specs)) for get in getters]
+            columns = [list(map(dict.get, specs, repeat(m), repeat(_NO_NAMES))) for m in _MEMBERS]
             columns += map(list, map(dict.values, tables.values()))
             if set(map(type, chain(_flat(columns), arrays.values()))) <= {list}:
                 flats = [reduce(iadd, column, []) for column in columns]
@@ -293,23 +297,23 @@ class LevelIndex:
     level's channel incidences; every level analysis reads it in place of a
     scan of the level. It is a cache, compared by identity.
 
-    ``feeders`` and ``readers`` are the level's one adjacency, which the
-    transitive walks and ``condense`` read; the direct queries read
-    ``producers`` and ``consumers``. Their entries are flat tuples of node
-    names. A node is a member or a join node: a channel with two or more
-    producers on the level stands for them as the node ``","`` + its name,
-    listed in ``joins``. No identifier holds a comma, so no join node is a
-    member's name. ``feeders[c]``, for each member c, names for each input of
-    c produced on the level its sole producer or its join node;
-    ``readers[c]`` names for each output of c consumed on the level its
-    consumers, or its join node when c shares the channel with other
-    producers. A join node's own entry is the index's ``producers[x]`` tuple
-    in ``feeders`` and ``consumers[x]`` tuple, when x has one, in
-    ``readers``: referenced, not copied. So c reaches p through the nodes
-    exactly when p feeds c, a shared channel costs one entry per producer
-    and per consumer however many there are, and the member entries of the
-    two maps hold at most twice the level's channel incidences. Each map is
-    built in one pass over the members on first use.
+    ``feeders`` and ``readers`` are the level's one adjacency, which ``reach``
+    walks and ``condense`` reads; the direct queries read ``producers`` and
+    ``consumers``. Their entries are flat tuples of node names. A node is a
+    member or a join node: a channel with two or more producers on the level
+    stands for them as the node ``","`` + its name, listed in ``joins``. No
+    identifier holds a comma, so no join node is a member's name.
+    ``feeders[c]``, for each member c, names for each input of c produced on
+    the level its sole producer or its join node; ``readers[c]`` names for
+    each output of c consumed on the level its consumers, or its join node
+    when c shares the channel with other producers. A join node's own entry
+    is the index's ``producers[x]`` tuple in ``feeders`` and ``consumers[x]``
+    tuple, when x has one, in ``readers``: referenced, not copied. So c
+    reaches p through the nodes exactly when p feeds c, a shared channel
+    costs one entry per producer and per consumer however many there are,
+    and the member entries of the two maps hold at most twice the level's
+    channel incidences. Each map is built in one pass over the members on
+    first use. ``reach`` drops the join nodes from its answer.
     """
 
     members: frozenset[ComponentId]  # the level's one set, for membership tests
@@ -324,15 +328,14 @@ class LevelIndex:
         self.consumers = _inverse((c, rec.inputs) for c, rec in records)
         self._components = components
 
-    @cached_property
+    @_table
     def joins(self) -> tuple[str, ...]:
         """The join nodes: ``","`` + each channel with two or more producers."""
         producers = self.producers
         shared = compress(producers, map(gt, map(len, producers.values()), repeat(1)))
         return tuple(map(",".__add__, shared))
 
-    @cached_property
-    @_collector_paused()
+    @_table
     def feeders(self) -> Mapping[str, tuple[str, ...]]:
         producers, components = self.producers, self._components
         node = dict(zip(producers, map(itemgetter(0), producers.values())))  # channel -> node name
@@ -342,8 +345,7 @@ class LevelIndex:
         links.update((j, producers[j[1:]]) for j in self.joins)
         return links
 
-    @cached_property
-    @_collector_paused()
+    @_table
     def readers(self) -> Mapping[str, tuple[str, ...]]:
         consumers, components = self.consumers, self._components
         joined = [j for j in self.joins if j[1:] in consumers]
@@ -353,6 +355,21 @@ class LevelIndex:
         links = {c: tuple(_flat(map(get, components[c].outputs, nothing))) for c in self.members}
         links.update((j, consumers[j[1:]]) for j in joined)
         return links
+
+    def reach(self, links: Mapping[str, tuple[str, ...]], start: Iterable[str]) -> frozenset[ComponentId]:
+        """start plus every member reached from it over ``links``, the index's
+        ``feeders`` or ``readers``; each entry is read once, and the join nodes
+        walked through are dropped from the answer."""
+        seen: set[str] = set(start)
+        todo = list(seen)
+        while todo:
+            for z in links[todo.pop()]:
+                if z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+        if self.joins:
+            seen.difference_update(self.joins)
+        return frozenset(seen)
 
 
 class Architecture(_Fields):
@@ -524,7 +541,7 @@ class Architecture(_Fields):
 
     # -- per-level index (built on first use, not a field) ------------------
 
-    @cached_property
+    @_table
     def _level_indexes(self) -> dict[LevelId, LevelIndex]:
         return {}
 
@@ -541,32 +558,27 @@ class Architecture(_Fields):
     # -- document-wide tables (each built on first use, not a field) --------
     # Each mapping lists its values in name order; a missing key means none.
 
-    @cached_property
-    @_collector_paused()
+    @_table
     def parents(self) -> Mapping[ComponentId, tuple[ComponentId, ...]]:
         """Every component, on a level or not, with the key as a subcomponent."""
         return _inverse((c, rec.subcomponents) for c, rec in self.components.items())
 
-    @cached_property
-    @_collector_paused()
+    @_table
     def levels_of(self) -> Mapping[ComponentId, tuple[LevelId, ...]]:
         """The levels each component is on."""
         return _inverse(self.levels.items())
 
-    @cached_property
-    @_collector_paused()
+    @_table
     def producers(self) -> Mapping[ChannelId, tuple[ComponentId, ...]]:
         """Every component, on a level or not, with the key among its outputs."""
         return _inverse((c, rec.outputs) for c, rec in self.components.items())
 
-    @cached_property
-    @_collector_paused()
+    @_table
     def targeted_by(self) -> Mapping[ChannelId, tuple[VariableId, ...]]:
         """The variables whose ``var_to`` holds the key."""
         return _inverse(self.var_to.items())
 
-    @cached_property
-    @_collector_paused()
+    @_table
     def finest_first(self) -> tuple[LevelId, ...]:
         """The levels by the largest subcomponent height among their members
         (an undecomposed component has height 0), ties by name."""
@@ -578,8 +590,7 @@ class Architecture(_Fields):
             levels, key=lambda lvl: (max((height[c] for c in levels[lvl]), default=0), lvl)
         ))
 
-    @cached_property
-    @_collector_paused()
+    @_table
     def highperf_marks(self) -> frozenset[ComponentId]:
         """The high-performance components and every component above one.
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .deps import upstream
 from .model import Architecture, ChannelId, ComponentId, LevelId, LevelIndex
 
 
@@ -53,7 +52,7 @@ def min_set_of_components(
     """Producers of the property channels plus everything feeding them."""
     chset = _require_channels(a, chset)
     index = a.level_index(level)
-    return upstream(index, _out_set(index, chset))
+    return index.reach(index.feeders, _out_set(index, chset))
 
 
 def no_irrelevant_channels(a: Architecture, level: LevelId, chset) -> bool:
@@ -69,12 +68,13 @@ def all_needed_in_channels(a: Architecture, level: LevelId, chset) -> bool:
 def slice_report(a: Architecture, level: LevelId, chset) -> SliceReport:
     """Assemble the slice, its verdicts, and the property's system inputs.
 
-    The minimal set comes from one walk seeded with the whole out set.
+    The minimal set is one ``reach`` over the index's ``feeders``, seeded
+    with the whole out set.
     """
     chset = _require_channels(a, chset)
     index = a.level_index(level)
     out_set = _out_set(index, chset)
-    min_set = upstream(index, out_set)
+    min_set = index.reach(index.feeders, out_set)
     producers, feeders, components = index.producers, index.feeders, a.components
     system_inputs = frozenset(x for x in chset if x in index.consumers and x not in producers)
     return SliceReport(

@@ -120,14 +120,10 @@ def _varto_mismatches(a: Architecture) -> Witnesses:
             yield Witness((x, v), f"chan_from_var/var_to disagree on ({x}, {v})")
 
 
-def _default_level_pair(a: Architecture) -> tuple[LevelId, ...]:
-    return a.finest_first[:2]
-
-
 def _fine_var_escapes(
     a: Architecture, levels: tuple[LevelId, ...] | None, side: str
 ) -> Witnesses:
-    levels = _default_level_pair(a) if levels is None else levels
+    levels = a.finest_first[:2] if levels is None else levels
     table = a.var_from if side == "inputs" else a.var_to
     members = set().union(*map(a.level_components, levels))
     for z in sorted(members):

@@ -87,11 +87,11 @@ def test_startup_imports_only_the_analysis_a_subcommand_runs(model_file):
          ["dataclasses", "archdeps.validate", "archdeps.optimize",
           "archdeps.slicing", "archdeps.elementary"]),
         (["slice", model_file, "--level", "level2", "--channels", "data1,data12"],
-         ["dataclasses", "archdeps.validate", "archdeps.optimize", "archdeps.elementary"]),
+         ["dataclasses", "archdeps.deps", "archdeps.validate", "archdeps.optimize", "archdeps.elementary"]),
         (["condense", model_file, "--level", "level0"],
-         ["archdeps.validate", "archdeps.slicing", "archdeps.elementary"]),
+         ["archdeps.deps", "archdeps.validate", "archdeps.slicing", "archdeps.elementary"]),
         (["check-refinement", model_file, "--fine", "level1", "--coarse", "level2"],
-         ["archdeps.validate", "archdeps.slicing", "archdeps.elementary"]),
+         ["archdeps.deps", "archdeps.validate", "archdeps.slicing", "archdeps.elementary"]),
     ):
         proc = subprocess.run(
             [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argv), *unused],

@@ -1,11 +1,12 @@
 import gc
 import time
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, is_
+from types import SimpleNamespace
 
 import pytest
 
-from archdeps import deps, ingest, optimize, slicing, validate
+from archdeps import deps, ingest, model, optimize, slicing, validate
 from archdeps.model import Architecture, LevelIndex, UnknownIdentifierError
 
 from .conftest import hub, to_tables
@@ -261,6 +262,35 @@ def test_document_tables_contents_and_laziness(arch):
     assert fresh.targeted_by["data15"] == ("stA6",)
     assert set(fresh.targeted_by) == set().union(*arch.var_to.values())
     assert fresh.finest_first == ("level1", "level0", "level2", "level3")
+
+
+def test_field_writes_after_a_build_leave_the_caches_as_built(arch):
+    # The caches read the fields once, on first use; a later write rebuilds none of them.
+    a = Architecture.create(**to_tables(arch))
+    index = a.level_index("level0")
+    built = (index, index.feeders, a.parents, a.highperf_marks)
+    a.levels, a.components, a.highperf_components = {}, {}, frozenset()
+    index = a.level_index("level0")
+    assert all(map(is_, (index, index.feeders, a.parents, a.highperf_marks), built))
+
+
+def test_every_lazy_member_builds_with_the_collector_paused(arch, monkeypatch):
+    fresh = Architecture.create(**to_tables(arch))
+    index = fresh.level_index("level0")
+    pauses = []
+    monkeypatch.setattr(model, "gc", SimpleNamespace(
+        isenabled=lambda: True, disable=lambda: pauses.append(1), enable=lambda: None))
+    for owner, names in (
+        (fresh, {"_level_indexes", *DOCUMENT_TABLES, "highperf_marks"}),
+        (index, {"joins", "feeders", "readers"}),
+    ):
+        lazy = [n for n, v in vars(type(owner)).items() if isinstance(v, cached_property)]
+        assert set(lazy) == names
+        for name in lazy:  # in definition order, so what a build reads is cached already
+            vars(owner).pop(name, None)
+            before = len(pauses)
+            getattr(owner, name)
+            assert len(pauses) == before + 1, name
 
 
 def test_highperf_marks_build_parents_and_nothing_else(arch):

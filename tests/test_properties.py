@@ -515,7 +515,7 @@ def test_validate_all_never_crashes_and_reports_everything(seed):
 def brute_force_witnesses(a) -> dict:
     """Every predicate's witness entity tuples, transcribed from its definition."""
     comps, chans, variables = sorted(a.components), sorted(a.chan_from_ch), sorted(a.var_from)
-    members = set().union(*(a.levels[lvl] for lvl in validate._default_level_pair(a)))
+    members = set().union(*(a.levels[lvl] for lvl in a.finest_first[:2]))
     # The definitions read every member, table entry and level as a set.
     levels = [frozenset(m) for m in a.levels.values()]
     rec = {c: SimpleNamespace(**{f: frozenset(getattr(r, f)) for f in r._fields})

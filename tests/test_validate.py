@@ -166,7 +166,7 @@ def test_default_level_pair_is_the_two_finest_levels(arch):
     witnesses = validate.validate_all(a).verdicts["varfrom_correct"].witnesses
     assert [w.entities for w in witnesses] == [("f1", "v1")]
     # level1 holds only atoms; level0 and level2 tie at height 1
-    assert validate._default_level_pair(arch) == ("level1", "level0")
+    assert arch.finest_first[:2] == ("level1", "level0")
 
 
 def test_var_useful_holds(arch):
