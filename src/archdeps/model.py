@@ -12,7 +12,7 @@ are total: an identifier without an entry maps to ``()``. An Architecture and
 a ComponentRecord are equal by field and unhashable; their fields are not
 write-protected, and the package never writes them. The level indexes
 (compared by identity) and the document-wide tables (``parents``,
-``levels_of``, ``producers``, ``targeted_by``, ``finest_first``,
+``levels_of``, ``producers``, ``targeted_by``, ``finest_first``, ``leaves``,
 ``highperf_marks``) are caches built on first use, outside the fields, each
 lazy member through ``_table``, so a field written after that leaves later
 answers stale. Join nodes are seen only here and in ``condense``.
@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from functools import cached_property, reduce
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, countOf, ge, gt, iadd, itemgetter, lt
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 ComponentId = str
 ChannelId = str
@@ -502,8 +502,9 @@ class Architecture(_Fields):
         return cls(records, highload_channels=highload, highperf_components=highperf, **totals)
 
     @property
-    def channel_ids(self) -> frozenset[ChannelId]:
-        return frozenset(self.chan_from_ch)
+    def channel_ids(self) -> KeysView[ChannelId]:
+        """Every channel, in name order: ``chan_from_ch``'s keys view, set-like and unhashable."""
+        return self.chan_from_ch.keys()
 
     # -- lookups (total; unknown identifiers are an error) -----------------
 
@@ -556,7 +557,7 @@ class Architecture(_Fields):
         return index
 
     # -- document-wide tables (each built on first use, not a field) --------
-    # Each mapping lists its values in name order; a missing key means none.
+    # Each mapping but ``leaves`` lists its values in name order; a missing key means none.
 
     @_table
     def parents(self) -> Mapping[ComponentId, tuple[ComponentId, ...]]:
@@ -589,6 +590,21 @@ class Architecture(_Fields):
         return tuple(sorted(
             levels, key=lambda lvl: (max((height[c] for c in levels[lvl]), default=0), lvl)
         ))
+
+    @_table
+    def leaves(self) -> Mapping[ComponentId, tuple[ComponentId, ...]]:
+        """Each decomposed component's undecomposed components below it, each
+        once, in set order, not name order; read ``leaves.get(c, (c,))``.
+
+        One post-order walk, each entry a tuple of the union of its children's.
+        A subcomponent chain of depth d over l leaves holds d*l names as tuples
+        for the model's life: 8 million (64 MB) on a 4,000-deep broom.
+        """
+        components, leaves = self.components, {}
+        for c in _post_order(components, [c for c, rec in components.items() if rec.subcomponents]):
+            if subs := components[c].subcomponents:
+                leaves[c] = tuple(set(_flat(leaves.get(s, (s,)) for s in subs)))
+        return leaves
 
     @_table
     def highperf_marks(self) -> frozenset[ComponentId]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import Architecture, ChannelId, ComponentId, LevelId, Verdict, Witness, _post_order
+from .model import Architecture, ChannelId, ComponentId, LevelId, Verdict, Witness
 
 
 class LevelPartition(NamedTuple):
@@ -132,19 +132,6 @@ def is_highload_channel(a: Architecture, x: ChannelId) -> bool:
     return x in a.highload_channels
 
 
-def _atoms(a: Architecture, roots) -> dict[ComponentId, frozenset[ComponentId]]:
-    """Leaves of the subcomponent tree below each root (a component itself
-    when undecomposed), for the roots and every component below them.
-
-    One pass over the post-order, so shared subcomponents cost nothing extra.
-    """
-    atoms: dict[ComponentId, frozenset[ComponentId]] = {}
-    for c in _post_order(a.components, roots):
-        subs = a.components[c].subcomponents
-        atoms[c] = frozenset().union(*(atoms[s] for s in subs)) if subs else frozenset((c,))
-    return atoms
-
-
 def verify_level_refinement(
     a: Architecture, fine: LevelId, coarse: LevelId
 ) -> RefinementReport:
@@ -155,29 +142,31 @@ def verify_level_refinement(
     the fine level exactly. Witnesses come per coarse component in name
     order (its incomplete cover, then its double covers by fine name),
     then the uncovered fine components by name; see ``RefinementReport``
-    for the entities each names. Cost is linear in the leaf sets ``_atoms``
-    keeps, one per component: a subcomponent chain of depth d above l leaves
-    holds at most d*l names, and a depth-4,000 broom (one leaf per link)
-    holds 8 million, which takes about half a second.
+    for the entities each names. The leaves come from ``a.leaves``, built
+    once per model, so the cost per call is linear in the two levels' leaf
+    tuples plus one transient frozenset per coarse member. That table holds
+    d*l names for a subcomponent chain of depth d over l leaves, for the
+    model's life: a depth-4,000 broom (one extra leaf per link) holds 8
+    million, and its first check takes about half a second.
     """
     a.require_level(fine)
     a.require_level(coarse)
     fine_members, coarse_members = a.levels[fine], a.levels[coarse]
-    atoms = _atoms(a, (*fine_members, *coarse_members))
-    # Atom sets are never empty, so a fine component whose atoms lie inside
-    # a coarse component's shares one of them: look it up by atom.
-    fine_by_atom: dict[ComponentId, list[ComponentId]] = {}
+    leaves = a.leaves
+    # Leaf sets are never empty, so a fine component whose leaves lie inside
+    # a coarse component's shares one of them: look it up by leaf.
+    fine_by_leaf: dict[ComponentId, list[ComponentId]] = {}
     for f in fine_members:
-        for t in atoms[f]:
-            fine_by_atom.setdefault(t, []).append(f)
+        for t in leaves.get(f, (f,)):
+            fine_by_leaf.setdefault(t, []).append(f)
 
     witnesses: list[Witness] = []
     covered: dict[ComponentId, ComponentId] = {}
     for c in coarse_members:
-        below = atoms[c]
-        candidates = {f for t in below for f in fine_by_atom.get(t, ())}
-        group = {f for f in candidates if atoms[f] <= below}
-        leftover = below - frozenset().union(*(atoms[f] for f in group)) if group else below
+        below = frozenset(leaves.get(c, (c,)))
+        candidates = {f for t in below for f in fine_by_leaf.get(t, ())}
+        group = {f for f in candidates if below.issuperset(leaves.get(f, (f,)))}
+        leftover = below.difference(*(leaves.get(f, (f,)) for f in group))
         if leftover:
             names = sorted(leftover)
             witnesses.append(Witness(

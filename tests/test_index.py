@@ -234,7 +234,7 @@ def test_validate_all_builds_no_level_index(arch):
     assert "_level_indexes" not in vars(fresh)
 
 
-DOCUMENT_TABLES = ("parents", "levels_of", "producers", "targeted_by", "finest_first")
+DOCUMENT_TABLES = ("parents", "levels_of", "producers", "targeted_by", "finest_first", "leaves")
 
 
 def cached(a: Architecture) -> set[str]:
@@ -262,16 +262,18 @@ def test_document_tables_contents_and_laziness(arch):
     assert fresh.targeted_by["data15"] == ("stA6",)
     assert set(fresh.targeted_by) == set().union(*arch.var_to.values())
     assert fresh.finest_first == ("level1", "level0", "level2", "level3")
+    assert sorted(fresh.leaves["sS4opt"]) == ["sA22", "sA23", "sA31", "sA32", "sA41"]
+    assert fresh.leaves["sS9"] == ("sA6",) and "sA6" not in fresh.leaves
 
 
 def test_field_writes_after_a_build_leave_the_caches_as_built(arch):
     # The caches read the fields once, on first use; a later write rebuilds none of them.
     a = Architecture.create(**to_tables(arch))
     index = a.level_index("level0")
-    built = (index, index.feeders, a.parents, a.highperf_marks)
+    built = (index, index.feeders, a.parents, a.leaves, a.highperf_marks)
     a.levels, a.components, a.highperf_components = {}, {}, frozenset()
     index = a.level_index("level0")
-    assert all(map(is_, (index, index.feeders, a.parents, a.highperf_marks), built))
+    assert all(map(is_, (index, index.feeders, a.parents, a.leaves, a.highperf_marks), built))
 
 
 def test_every_lazy_member_builds_with_the_collector_paused(arch, monkeypatch):

@@ -178,6 +178,14 @@ def test_absent_table_entries_total():
     assert a.chan_from_var["x2"] == ()
 
 
+def test_channel_ids_iterate_in_name_order(arch):
+    a = Architecture.create(components={"A": {"in": ["x9", "x10"], "out": ["x1", "w"]}})
+    for model in (arch, a):
+        assert list(model.channel_ids) == sorted(model.chan_from_ch)
+        assert model.channel_ids == set(model.chan_from_ch)
+    assert list(a.channel_ids) == ["w", "x1", "x10", "x9"]
+
+
 def test_fixture_cached_instance():
     assert case_study_fixture() is case_study_fixture()
 

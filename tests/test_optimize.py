@@ -199,6 +199,23 @@ def test_refinement_chain_5000_deep():
     assert optimize.verify_level_refinement(a, "fine", "coarse").ok
 
 
+def test_refinement_4000_deep_broom_under_one_second():
+    # c0000 -> {c0001, l0000} -> ... -> c4000: the leaf table holds d*l names,
+    # 8 million here; sorting each entry by name would take about four times as long.
+    depth = 4000
+    components = {f"c{k:04d}": {"subcomp": [f"c{k + 1:04d}", f"l{k:04d}"]} for k in range(depth)}
+    components.update({f"l{k:04d}": {} for k in range(depth)})
+    components[f"c{depth:04d}"] = {}
+    a = Architecture.create(
+        components=components,
+        levels={"fine": [f"l{k:04d}" for k in range(depth)] + [f"c{depth:04d}"], "coarse": ["c0000"]},
+    )
+    start = time.perf_counter()
+    report = optimize.verify_level_refinement(a, "fine", "coarse")
+    assert time.perf_counter() - start < 1.0
+    assert report.ok and len(a.leaves["c0000"]) == depth + 1
+
+
 def test_high_perf_marks_on_4000_deep_chain():
     # Every component is on the level and has the marked leaf below it.
     depth = 4000

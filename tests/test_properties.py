@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 import time
@@ -366,6 +367,29 @@ def test_refinement_witnesses_match_definition(seed):
     assert all(type(w) is validate.Witness for w in report.witnesses)
     assert [(w.entities, w.reason) for w in report.witnesses] == expected
     assert report.ok == (not expected)
+
+
+@given(seeds, seeds)
+def test_leaf_table_and_refinement_match_a_fresh_flattening(seed, pick):
+    a = build(seed)
+
+    @functools.cache
+    def leaves(c):
+        subs = a.components[c].subcomponents
+        return frozenset().union(*map(leaves, subs)) if subs else frozenset((c,))
+
+    decomposed = {c for c, rec in a.components.items() if rec.subcomponents}
+    assert set(a.leaves) == decomposed
+    for c in decomposed:
+        assert len(set(a.leaves[c])) == len(a.leaves[c])
+        assert set(a.leaves[c]) == leaves(c)
+
+    # One model answers every pair in a drawn order, reading the table its first call built.
+    pairs = list(itertools.product(a.levels, repeat=2))
+    random.Random(pick).shuffle(pairs)
+    check = optimize.verify_level_refinement
+    for fine, coarse in pairs:
+        assert check(a, fine, coarse) == check(rebuild(to_tables(a)), fine, coarse)
 
 
 def random_coarsening(rng: random.Random):
