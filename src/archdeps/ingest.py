@@ -101,14 +101,6 @@ def case_study_fixture() -> Architecture:
     return parse(path.read_text(encoding="utf-8"))
 
 
-class _Quoted(dict):
-    """Name -> its JSON string text; a name it lacks is quoted and stored on first use."""
-
-    def __missing__(self, name: str) -> str:
-        self[name] = text = _quote(name)
-        return text
-
-
 def serialize(a: Architecture) -> str:
     """Canonical document text: total tables, lexicographic order everywhere.
 
@@ -118,8 +110,8 @@ def serialize(a: Architecture) -> str:
     table entries and levels are written as the model holds them, in name
     order; only the two arrays, held as sets, are sorted.
     """
-    quoted = _Quoted()  # the four universes hold every name of a created model
-    for names in (a.components, a.chan_from_ch, a.var_from, a.levels):
+    quoted = {}  # the four universes and the layout keys: every name a created model writes
+    for names in (a.components, a.chan_from_ch, a.var_from, a.levels, _TOP_LEVEL):
         quoted.update(zip(names, map(_quote, names)))
     quote = quoted.__getitem__
 

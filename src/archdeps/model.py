@@ -249,23 +249,23 @@ def _inverse(pairs: Iterable[tuple[str, Iterable[str]]]) -> dict[str, tuple[str,
     return {v: tuple(keys) for v, keys in inverse.items()}
 
 
-def _post_order(
-    components: Mapping[ComponentId, ComponentRecord], roots: Iterable[ComponentId]
-) -> list[ComponentId]:
-    """The roots and every component below them, each after its subcomponents.
+def _post_order(components: Mapping[ComponentId, ComponentRecord]) -> list[ComponentId]:
+    """Every decomposed component and every component below one, each after
+    its subcomponents.
 
-    Roots are taken in the order given, children in name order; the walk is
-    iterative, so depth meets no recursion limit. Raises SubcomponentCycleError,
-    naming the first cycle met, when the relation below the roots is cyclic.
+    The roots are the decomposed components in the mapping's order, name
+    order in a created model, children in name order; the walk is iterative,
+    so depth meets no recursion limit. Raises SubcomponentCycleError, naming
+    the first cycle met, when the relation is cyclic.
     """
     done: dict[ComponentId, bool] = {}  # False while on the path
     order: list[ComponentId] = []
-    for root in roots:
-        if root in done:
+    for root, rec in components.items():
+        if root in done or not rec.subcomponents:
             continue
         done[root] = False
         path = [root]
-        stack = [iter(components[root].subcomponents)]
+        stack = [iter(rec.subcomponents)]
         while stack:
             child = next(stack[-1], None)
             if child is None:
@@ -299,21 +299,19 @@ class LevelIndex:
 
     ``feeders`` and ``readers`` are the level's one adjacency, which ``reach``
     walks and ``condense`` reads; the direct queries read ``producers`` and
-    ``consumers``. Their entries are flat tuples of node names. A node is a
-    member or a join node: a channel with two or more producers on the level
-    stands for them as the node ``","`` + its name, listed in ``joins``. No
-    identifier holds a comma, so no join node is a member's name.
-    ``feeders[c]``, for each member c, names for each input of c produced on
-    the level its sole producer or its join node; ``readers[c]`` names for
-    each output of c consumed on the level its consumers, or its join node
-    when c shares the channel with other producers. A join node's own entry
-    is the index's ``producers[x]`` tuple in ``feeders`` and ``consumers[x]``
-    tuple, when x has one, in ``readers``: referenced, not copied. So c
-    reaches p through the nodes exactly when p feeds c, a shared channel
-    costs one entry per producer and per consumer however many there are,
-    and the member entries of the two maps hold at most twice the level's
-    channel incidences. Each map is built in one pass over the members on
-    first use. ``reach`` drops the join nodes from its answer.
+    ``consumers``. One builder, ``_links(far, side)``, makes each, in one
+    pass over the members on first use: ``feeders`` from the producers and
+    each member's inputs, ``readers`` from the consumers and its outputs.
+    Entries are flat tuples of node names, and one rule names them: a
+    channel with two or more producers on the level is its join node, ``","``
+    + its name, listed in ``joins`` (no identifier holds a comma, so no join
+    node is a member's name); any other channel stands for its ``far``
+    components. A join node's own entry is the channel's ``far`` tuple, when
+    it has one: referenced, not copied. So c reaches p through the nodes
+    exactly when p feeds c, a shared channel costs one entry per producer and
+    per consumer however many there are, and the member entries of the two
+    maps hold at most twice the level's channel incidences. ``reach`` drops
+    the join nodes from its answer.
     """
 
     members: frozenset[ComponentId]  # the level's one set, for membership tests
@@ -335,26 +333,18 @@ class LevelIndex:
         shared = compress(producers, map(gt, map(len, producers.values()), repeat(1)))
         return tuple(map(",".__add__, shared))
 
-    @_table
-    def feeders(self) -> Mapping[str, tuple[str, ...]]:
-        producers, components = self.producers, self._components
-        node = dict(zip(producers, map(itemgetter(0), producers.values())))  # channel -> node name
-        node.update((j[1:], j) for j in self.joins)
-        get = node.get
-        links = {c: tuple(filter(None, map(get, components[c].inputs))) for c in self.members}
-        links.update((j, producers[j[1:]]) for j in self.joins)
+    def _links(self, far: Mapping[ChannelId, tuple[ComponentId, ...]], side: str) -> dict[str, tuple[str, ...]]:
+        """The adjacency from ``far``, producers or consumers, over each member's ``side`` field."""
+        joined = [j for j in self.joins if j[1:] in far]
+        node = dict(far)  # channel -> the names a member's entry lists for it
+        node.update((j[1:], (j,)) for j in joined)
+        get, nothing, components = node.get, repeat(()), self._components
+        links = {c: tuple(_flat(map(get, getattr(components[c], side), nothing))) for c in self.members}
+        links.update((j, far[j[1:]]) for j in joined)
         return links
 
-    @_table
-    def readers(self) -> Mapping[str, tuple[str, ...]]:
-        consumers, components = self.consumers, self._components
-        joined = [j for j in self.joins if j[1:] in consumers]
-        node = dict(consumers)  # channel -> the names its producer's entry lists
-        node.update((j[1:], (j,)) for j in joined)
-        get, nothing = node.get, repeat(())
-        links = {c: tuple(_flat(map(get, components[c].outputs, nothing))) for c in self.members}
-        links.update((j, consumers[j[1:]]) for j in joined)
-        return links
+    feeders = _table(lambda self: self._links(self.producers, "inputs"))
+    readers = _table(lambda self: self._links(self.consumers, "outputs"))
 
     def reach(self, links: Mapping[str, tuple[str, ...]], start: Iterable[str]) -> frozenset[ComponentId]:
         """start plus every member reached from it over ``links``, the index's
@@ -498,7 +488,7 @@ class Architecture(_Fields):
         decomposed, below = list(compress(names, subs)), list(filter(None, subs))
         if not (all(map(lt, map(itemgetter(-1), below), decomposed))
                 or all(map(gt, map(itemgetter(0), below), decomposed))):
-            _post_order(records, [c for c, rec in records.items() if rec.subcomponents])
+            _post_order(records)
         return cls(records, highload_channels=highload, highperf_components=highperf, **totals)
 
     @property
@@ -585,10 +575,10 @@ class Architecture(_Fields):
         (an undecomposed component has height 0), ties by name."""
         components, levels = self.components, self.levels
         height: dict[ComponentId, int] = {}
-        for c in _post_order(components, components):
+        for c in _post_order(components):
             height[c] = 1 + max((height[s] for s in components[c].subcomponents), default=-1)
-        return tuple(sorted(
-            levels, key=lambda lvl: (max((height[c] for c in levels[lvl]), default=0), lvl)
+        return tuple(sorted(  # a member that no decomposed component holds has no entry
+            levels, key=lambda lvl: (max((height.get(c, 0) for c in levels[lvl]), default=0), lvl)
         ))
 
     @_table
@@ -601,7 +591,7 @@ class Architecture(_Fields):
         for the model's life: 8 million (64 MB) on a 4,000-deep broom.
         """
         components, leaves = self.components, {}
-        for c in _post_order(components, [c for c, rec in components.items() if rec.subcomponents]):
+        for c in _post_order(components):
             if subs := components[c].subcomponents:
                 leaves[c] = tuple(set(_flat(leaves.get(s, (s,)) for s in subs)))
         return leaves

@@ -50,9 +50,7 @@ def min_set_of_components(
     a: Architecture, level: LevelId, chset
 ) -> frozenset[ComponentId]:
     """Producers of the property channels plus everything feeding them."""
-    chset = _require_channels(a, chset)
-    index = a.level_index(level)
-    return index.reach(index.feeders, _out_set(index, chset))
+    return slice_report(a, level, chset).min_components
 
 
 def no_irrelevant_channels(a: Architecture, level: LevelId, chset) -> bool:

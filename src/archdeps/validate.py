@@ -120,12 +120,9 @@ def _varto_mismatches(a: Architecture) -> Witnesses:
             yield Witness((x, v), f"chan_from_var/var_to disagree on ({x}, {v})")
 
 
-def _fine_var_escapes(
-    a: Architecture, levels: tuple[LevelId, ...] | None, side: str
-) -> Witnesses:
-    levels = a.finest_first[:2] if levels is None else levels
+def _fine_var_escapes(a: Architecture, side: str) -> Witnesses:
     table = a.var_from if side == "inputs" else a.var_to
-    members = set().union(*map(a.level_components, levels))
+    members = set().union(*map(a.levels.__getitem__, a.finest_first[:2]))
     for z in sorted(members):
         ref = set(getattr(a.components[z], side))
         for v in a.components[z].vars:
@@ -197,24 +194,21 @@ def outfromv_varto_consistent(a: Architecture) -> bool:
     return not any(_varto_mismatches(a))
 
 
-def varfrom_correct(
-    a: Architecture, levels: tuple[LevelId, ...] | None = None
-) -> bool:
+def varfrom_correct(a: Architecture) -> bool:
     """Variables of fine-level components are fed only from their inputs.
 
-    By default the check covers the members of the two finest levels: the
-    levels are ranked by the largest subcomponent height among their
-    members (an undecomposed component has height 0), ties by level name.
+    The check covers the members of the two finest levels,
+    ``a.finest_first[:2]``: the levels ranked by the largest subcomponent
+    height among their members (an undecomposed component has height 0),
+    ties by level name.
     """
-    return not any(_fine_var_escapes(a, levels, "inputs"))
+    return not any(_fine_var_escapes(a, "inputs"))
 
 
-def varto_correct(
-    a: Architecture, levels: tuple[LevelId, ...] | None = None
-) -> bool:
-    """Variables of fine-level components feed only their outputs; levels
-    default as for :func:`varfrom_correct`."""
-    return not any(_fine_var_escapes(a, levels, "outputs"))
+def varto_correct(a: Architecture) -> bool:
+    """Variables of fine-level components feed only their outputs; the
+    levels are those of :func:`varfrom_correct`."""
+    return not any(_fine_var_escapes(a, "outputs"))
 
 
 def var_useful(a: Architecture) -> bool:
@@ -249,8 +243,8 @@ _PREDICATES: dict[str, Callable[[Architecture], Witnesses]] = {
     "outfromv_correct1": lambda a: _deps_outside_producers(a, a.chan_from_ch, "vars"),
     "outfromv_correct2": lambda a: _outfromv2(a, a.chan_from_ch),
     "outfromv_varto_consistent": _varto_mismatches,
-    "varfrom_correct": lambda a: _fine_var_escapes(a, None, "inputs"),
-    "varto_correct": lambda a: _fine_var_escapes(a, None, "outputs"),
+    "varfrom_correct": lambda a: _fine_var_escapes(a, "inputs"),
+    "varto_correct": lambda a: _fine_var_escapes(a, "outputs"),
     "var_useful": _useless_vars,
 }
 

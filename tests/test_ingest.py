@@ -153,12 +153,6 @@ def test_serialize_ignores_dict_order(arch):
     assert ingest.serialize(rebuilt) == ingest.serialize(arch)
 
 
-def test_serialize_quotes_a_name_outside_the_universes():
-    # A hand-built model may name what no table keys: it still serializes.
-    a = Architecture({}, {}, {}, {}, {}, {}, frozenset({"stray"}), frozenset())
-    assert '"highload_channels": [\n    "stray"\n  ]' in ingest.serialize(a)
-
-
 def test_export_dot_level0(arch):
     dot = ingest.export_dot(arch, "level0")
     nodes = [line for line in dot.splitlines() if "->" not in line and '"sA' in line]

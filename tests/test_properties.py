@@ -327,6 +327,34 @@ def test_high_perf_matches_descendant_walk(seed):
     assert {c for c in a.levels["L"] if f'"{c}" [fillcolor' in dot} == expected & set(a.levels["L"])
 
 
+def ranked_by_recursive_height(a: Architecture) -> tuple:
+    """The levels by the largest recursive subcomponent height among their
+    members (an undecomposed component has height 0), ties by name."""
+
+    @functools.cache
+    def height(c):
+        return 1 + max(map(height, a.components[c].subcomponents), default=-1)
+
+    return tuple(sorted(a.levels, key=lambda lvl: (max(map(height, a.levels[lvl]), default=0), lvl)))
+
+
+@given(seeds)
+def test_finest_first_ranks_levels_by_recursive_height(seed):
+    a = build(seed)
+    assert a.finest_first == ranked_by_recursive_height(a)
+
+
+def test_finest_first_ranks_members_under_no_decomposed_component_at_height_0():
+    # "lone" and "z" are neither decomposed nor below a decomposed component,
+    # so the post-order walk never meets them.
+    a = Architecture.create(
+        components={"a": {"subcomp": ["b"]}, "b": {}, "lone": {}, "z": {}},
+        levels={"L_top": ["a"], "L_lone": ["lone", "z"], "L_empty": [], "L_b": ["b"]},
+    )
+    assert {"lone", "z"}.isdisjoint(model._post_order(a.components))
+    assert a.finest_first == ranked_by_recursive_height(a) == ("L_b", "L_empty", "L_lone", "L_top")
+
+
 def random_refinement(rng: random.Random):
     """A random subcomponent DAG with a fine and a coarse level. The coarse
     level is sometimes the fine one itself, so complete, incomplete, double

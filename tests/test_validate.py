@@ -144,10 +144,6 @@ def test_varfrom_correct_violated(arch):
     assert not validate.varfrom_correct(bad)
 
 
-def test_varfrom_correct_explicit_level_pair(arch):
-    assert validate.varfrom_correct(arch, ("level0", "level1"))
-
-
 def test_default_level_pair_is_the_two_finest_levels(arch):
     # Level names sort coarsest first here, so name order gives the wrong pair.
     a = Architecture.create(
@@ -162,7 +158,6 @@ def test_default_level_pair_is_the_two_finest_levels(arch):
         var_to={"v1": ["x2"]},
     )
     assert not validate.varfrom_correct(a)
-    assert validate.varfrom_correct(a, ("a_coarse", "m_mid"))
     witnesses = validate.validate_all(a).verdicts["varfrom_correct"].witnesses
     assert [w.entities for w in witnesses] == [("f1", "v1")]
     # level1 holds only atoms; level0 and level2 tie at height 1
