@@ -4,6 +4,7 @@ from .ingest import case_study_fixture
 from .model import (
     Architecture,
     ComponentRecord,
+    DocumentError,
     InvalidIdentifierError,
     ModelError,
     SubcomponentCycleError,
@@ -13,6 +14,7 @@ from .model import (
 __all__ = [
     "Architecture",
     "ComponentRecord",
+    "DocumentError",
     "InvalidIdentifierError",
     "ModelError",
     "SubcomponentCycleError",

@@ -89,51 +89,44 @@ def build_parser(commands: Collection[str] | None = None) -> argparse.ArgumentPa
     every = None if set(_COMMANDS) <= set(commands) else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=every)
 
-    def add(name: str, **kwargs) -> argparse.ArgumentParser | None:
+    def add(name: str, level: bool = False, **kwargs) -> argparse.ArgumentParser | None:
         if name not in commands:
             return None
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        if level:
+            p.add_argument("--level", required=True)
         if name != "fixture":
             p.add_argument("file")
         return p
 
     add("validate", help="run all well-formedness predicates")
 
-    if p := add("sources", help="dependency set of one component on a level"):
-        p.add_argument("--level", required=True)
+    if p := add("sources", level=True, help="dependency set of one component on a level"):
         p.add_argument("--component", required=True)
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--direct", action="store_true", help="direct sources only")
         mode.add_argument("--acc", action="store_true", help="transitive accessors")
         mode.add_argument("--dacc", action="store_true", help="direct accessors")
 
-    if p := add("slice", help="minimal component set for a channel property"):
-        p.add_argument("--level", required=True)
+    if p := add("slice", level=True, help="minimal component set for a channel property"):
         p.add_argument("--channels", required=True, help="comma-separated, no spaces")
 
-    if p := add("elementary", help="elementary classification of a level"):
-        p.add_argument("--level", required=True)
-
-    if p := add("classify", help="classify every channel on a level"):
-        p.add_argument("--level", required=True)
+    add("elementary", level=True, help="elementary classification of a level")
+    add("classify", level=True, help="classify every channel on a level")
 
     if p := add("chan-deps", help="channel dependency set"):
         p.add_argument("--channel", required=True)
         p.add_argument("--transitive", action="store_true")
 
-    if p := add("condense", help="strongly-connected-component partition of a level"):
-        p.add_argument("--level", required=True)
-
-    if p := add("optimize", help="high-load channel grouping of a level"):
-        p.add_argument("--level", required=True)
+    add("condense", level=True, help="strongly-connected-component partition of a level")
+    add("optimize", level=True, help="high-load channel grouping of a level")
 
     if p := add("check-refinement", help="check a coarse level refines a fine one"):
         p.add_argument("--fine", required=True)
         p.add_argument("--coarse", required=True)
 
-    if p := add("export-dot", help="Graphviz digraph of a level"):
-        p.add_argument("--level", required=True)
+    if p := add("export-dot", level=True, help="Graphviz digraph of a level"):
         p.add_argument("-o", "--output")
 
     if p := add("fixture", help="emit the bundled case-study document"):
@@ -150,10 +143,7 @@ def _cmd_validate(a: Architecture, args) -> _Result:
         "predicates": {
             name: {
                 "holds": v.holds,
-                "witnesses": [
-                    {"entities": list(w.entities), "reason": w.reason}
-                    for w in v.witnesses
-                ],
+                "witnesses": [w._asdict() for w in v.witnesses],
             }
             for name, v in report.verdicts.items()
         },
@@ -176,21 +166,15 @@ def _cmd_sources(a: Architecture, args) -> _Result:
 def _cmd_slice(a: Architecture, args) -> _Result:
     from . import slicing
     report = slicing.slice_report(a, args.level, _channels_arg(args.channels))
-    rows = (  # JSON key, text label, value
-        ("level", "level", report.level),
-        ("property_channels", "channels", sorted(report.property_channels)),
-        ("out_components", "out components", sorted(report.out_components)),
-        ("min_components", "min components", sorted(report.min_components)),
-        ("no_irrelevant", "no irrelevant channels", report.no_irrelevant),
-        ("all_needed", "all needed inputs listed", report.all_needed),
-        ("system_inputs_in_property", "system inputs in property",
-         sorted(report.system_inputs_in_property)),
-    )
+    # The report's fields as JSON, each set as a sorted list; the text labels them in field order.
+    payload = {key: sorted(v) if isinstance(v, frozenset) else v for key, v in report._asdict().items()}
+    labels = ("level", "channels", "out components", "min components", "no irrelevant channels",
+              "all needed inputs listed", "system inputs in property")
     text = "".join(
-        f"{label}: {' '.join(v) if isinstance(v, list) else v}\n" for _, label, v in rows
+        f"{label}: {' '.join(v) if isinstance(v, list) else v}\n" for label, v in zip(labels, payload.values())
     )
     ok = report.no_irrelevant and report.all_needed
-    return {key: v for key, _, v in rows}, text, EXIT_OK if ok else EXIT_VIOLATION
+    return payload, text, EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _cmd_elementary(a: Architecture, args) -> _Result:

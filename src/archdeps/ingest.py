@@ -9,8 +9,6 @@ from operator import attrgetter
 
 from .model import _ARRAYS, _TABLES, Architecture, DocumentError, LevelId, _collector_paused
 
-_TOP_LEVEL = ("components", *_TABLES, *_ARRAYS)  # Architecture.create's parameters
-
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     # json.loads's object_pairs_hook: the object, unless a key repeats.
@@ -68,14 +66,14 @@ def _decode(doc: str) -> object:
 def parse(doc: str) -> Architecture:
     """Parse an architecture description document.
 
-    Decodes the text, checks that the top level is an object of
-    ``Architecture.create``'s parameters, and hands it to ``create``, which
-    checks the shape, fills in what is missing and checks names, references
-    and the subcomponent relation. Raises DocumentError on malformed text
-    (with position for syntax errors), a key repeated in one object and a
-    bad top level; ``create`` raises the shape breaches (a top-level null is
-    one) and the InvalidIdentifierError, UnknownIdentifierError and
-    SubcomponentCycleError, which pass through.
+    Decodes the text, checks that the top level is an object, and hands its
+    members to ``Architecture.create`` as keywords; ``create`` checks them,
+    the shape, names, references and the subcomponent relation. Raises
+    DocumentError on malformed text (with position for syntax errors), a key
+    repeated in one object and a top level that is not an object; ``create``'s
+    DocumentError (an unknown top-level member or a shape breach, a top-level
+    null among them) and its InvalidIdentifierError, UnknownIdentifierError
+    and SubcomponentCycleError pass through.
 
     The per-object duplicate-key hook runs only when a plain decode fails or
     a count of the text's ":" leaves a repeated key possible (see
@@ -86,9 +84,6 @@ def parse(doc: str) -> Architecture:
         raw = _decode(doc)
         if not isinstance(raw, dict):
             raise DocumentError("top level must be an object")
-        unknown = sorted(set(raw) - set(_TOP_LEVEL))
-        if unknown:
-            raise DocumentError(f"unknown top-level members: {', '.join(unknown)}")
         return Architecture.create(**raw)
 
 
@@ -111,7 +106,7 @@ def serialize(a: Architecture) -> str:
     order; only the two arrays, held as sets, are sorted.
     """
     quoted = {}  # the four universes and the layout keys: every name a created model writes
-    for names in (a.components, a.chan_from_ch, a.var_from, a.levels, _TOP_LEVEL):
+    for names in (a.components, a.chan_from_ch, a.var_from, a.levels, ("components", *_TABLES, *_ARRAYS)):
         quoted.update(zip(names, map(_quote, names)))
     quote = quoted.__getitem__
 

@@ -264,25 +264,24 @@ def _post_order(components: Mapping[ComponentId, ComponentRecord]) -> list[Compo
         if root in done or not rec.subcomponents:
             continue
         done[root] = False
-        path = [root]
-        stack = [iter(rec.subcomponents)]
+        stack = [(root, iter(rec.subcomponents))]  # the path, each node with its children left
         while stack:
-            child = next(stack[-1], None)
+            node, children = stack[-1]
+            child = next(children, None)
             if child is None:
                 stack.pop()
-                node = path.pop()
                 done[node] = True
                 order.append(node)
             elif child not in done:
                 below = components[child].subcomponents
                 if below:
                     done[child] = False
-                    path.append(child)
-                    stack.append(iter(below))
+                    stack.append((child, iter(below)))
                 else:  # no subcomponents: finished as soon as it is met
                     done[child] = True
                     order.append(child)
             elif not done[child]:
+                path = [n for n, _ in stack]
                 cycle = path[path.index(child):] + [child]
                 raise SubcomponentCycleError("subcomponent cycle: " + " -> ".join(cycle))
     return order
@@ -395,7 +394,7 @@ class Architecture(_Fields):
     @classmethod
     @_collector_paused()
     def create(
-        cls,
+        cls, /,
         components: dict[ComponentId, dict[str, list[str]]] = _ABSENT,
         levels: dict[LevelId, list[ComponentId]] = _ABSENT,
         chan_from_ch: dict[ChannelId, list[ChannelId]] = _ABSENT,
@@ -404,12 +403,15 @@ class Architecture(_Fields):
         var_to: dict[VariableId, list[ChannelId]] = _ABSENT,
         highload_channels: list[ChannelId] = _NO_NAMES,
         highperf_components: list[ComponentId] = _NO_NAMES,
+        **unknown: object,
     ) -> "Architecture":
-        """Check the shape, fill in missing members and tables, check every
-        name, reference and the subcomponent relation; freeze each member,
-        table entry and level as a name-ordered tuple without repeats.
+        """Check the top level and the shape, fill in what is missing, check
+        every name, reference and the subcomponent relation; freeze each
+        member, table entry and level as a name-ordered tuple without repeats.
 
-        The containers are those ``json.loads`` builds, by exact type:
+        The keywords are the document's top-level members; any other is
+        checked first, a DocumentError ``unknown top-level members: ...``. The
+        containers are those ``json.loads`` builds, by exact type:
         ``components``, each spec and each table are dicts, a spec's keys are
         among ``in``, ``out``, ``var`` and ``subcomp``, and each member, table
         entry and array is a list of strings. A left-out parameter or member
@@ -425,6 +427,8 @@ class Architecture(_Fields):
         sorted entry by entry. The subcomponent walk runs only when the names
         do not already order every parent above its subcomponents.
         """
+        if unknown:
+            raise DocumentError("unknown top-level members: " + ", ".join(sorted(unknown)))
         tables = dict(zip(_TABLES, (levels, chan_from_ch, chan_from_var, var_from, var_to)))
         arrays = dict(zip(_ARRAYS, (highload_channels, highperf_components)))
         columns = _check_shape(components, tables, arrays)

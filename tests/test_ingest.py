@@ -326,6 +326,25 @@ def test_parse_reports_the_first_breach(doc, message):
 
 
 @pytest.mark.parametrize(
+    "doc,unknown",
+    [
+        ({"levls": {}}, "levls"),
+        ({"components": [], "levls": {}}, "levls"),
+        ({"levels": None, "zeta": 1, "alpha": []}, "alpha, zeta"),
+        ({"components": {"A": {"in": [1]}}, "cls": {}}, "cls"),
+        ({"chan_from_ch": {"x": "y"}, "unknown": []}, "unknown"),
+    ],
+    ids=["misspelt_table", "before_components", "before_null_table", "create_first_parameter",
+         "catch_all_name"],
+)
+def test_create_and_parse_report_an_unknown_top_level_member_first(doc, unknown):
+    for load in (lambda: Architecture.create(**doc), lambda: ingest.parse(json.dumps(doc))):
+        with pytest.raises(ingest.DocumentError) as info:
+            load()
+        assert str(info.value) == f"unknown top-level members: {unknown}"
+
+
+@pytest.mark.parametrize(
     "doc,error",
     [
         ('{"components": {"A": {"out": ["x"]}}, "levels": {"L": ["A"]}}', None),

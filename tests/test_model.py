@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import archdeps
 from archdeps import case_study_fixture, ingest, model
 from archdeps.model import (
     Architecture,
     ComponentRecord,
     DocumentError,
     InvalidIdentifierError,
+    ModelError,
     SubcomponentCycleError,
     UnknownIdentifierError,
 )
@@ -98,6 +100,32 @@ def test_undeclared_reference_rejected():
 def test_comma_in_identifier_rejected(components):
     with pytest.raises(InvalidIdentifierError, match=","):
         Architecture.create(components=components)
+
+
+@pytest.mark.parametrize(
+    "tables,kind,key",
+    [
+        ({"components": {"A": {}, 1: {}}}, "component", 1),
+        ({"chan_from_ch": {"x": [], None: []}}, "channel", None),
+        ({"levels": {2.5: []}}, "level", 2.5),
+        ({"var_to": {("v",): []}}, "variable", ("v",)),
+    ],
+    ids=["components", "table", "levels", "var_to"],
+)
+def test_non_string_key_is_an_invalid_identifier(tables, kind, key):
+    with pytest.raises(InvalidIdentifierError) as info:
+        Architecture.create(**tables)
+    assert str(info.value) == f"invalid {kind} identifier: {key!r}"
+
+
+def test_package_exports_every_model_error():
+    errors = [
+        name for name, value in vars(model).items()
+        if isinstance(value, type) and issubclass(value, ModelError) and value.__module__ == model.__name__
+    ]
+    assert {"DocumentError", "ModelError"} <= set(errors)
+    for name in errors:
+        assert name in archdeps.__all__ and getattr(archdeps, name) is getattr(model, name)
 
 
 @pytest.mark.parametrize(
